@@ -46,21 +46,23 @@ def round_fractional(instance: ProblemInstance, fractional: Schedule) -> Schedul
         deadlines = instance.tasks.deadlines
         f_caps = instance.tasks.f_max
 
-        w_max = fractional.machine_loads.copy()  # per-machine caps (seconds)
-        task_time = fractional.times.sum(axis=1)  # Σ_r t^f_jr
+        w_max = fractional.machine_loads.tolist()  # per-machine caps (seconds)
+        task_time = fractional.times.sum(axis=1).tolist()  # Σ_r t^f_jr
+        speed_of = speeds.tolist()
+        caps = f_caps.tolist()
 
-        times = np.zeros((n, m))
-        loads = np.zeros(m)
-        full = w_max <= _FULL_RTOL * np.maximum(w_max, 1.0)
+        times = [[0.0] * m for _ in range(n)]
+        loads = [0.0] * m
+        full = [w <= _FULL_RTOL * max(w, 1.0) for w in w_max]
 
         for j in range(n):
-            if np.all(full):
+            if all(full):
                 break
-            candidates = np.where(~full, loads, np.inf)
-            r = int(np.argmin(candidates))
-            grant = min(task_time[j], w_max[r] - loads[r], f_caps[j] / speeds[r])
+            # Least-loaded open machine, lowest index on ties (as argmin).
+            r = min((k for k in range(m) if not full[k]), key=loads.__getitem__)
+            grant = min(task_time[j], w_max[r] - loads[r], caps[j] / speed_of[r])
             grant = max(grant, 0.0)
-            times[j, r] = grant
+            times[j][r] = grant
             loads[r] += grant
             if loads[r] >= w_max[r] - _FULL_RTOL * max(w_max[r], 1.0):
                 full[r] = True
@@ -68,20 +70,22 @@ def round_fractional(instance: ProblemInstance, fractional: Schedule) -> Schedul
         # Cut-and-shift: enforce deadlines machine by machine.  Tasks execute
         # in EDF (index) order, so starts are running sums; cutting a task
         # automatically shifts its followers forward.
+        due = deadlines.tolist()
         truncated = 0
         for r in range(m):
             start = 0.0
             for j in range(n):
-                if times[j, r] <= 0.0:
+                tj = times[j][r]
+                if tj <= 0.0:
                     continue
-                allowed = max(deadlines[j] - start, 0.0)
-                if times[j, r] > allowed:
-                    times[j, r] = allowed
+                allowed = max(due[j] - start, 0.0)
+                if tj > allowed:
+                    tj = times[j][r] = allowed
                     truncated += 1
-                start += times[j, r]
+                start += tj
         tele.counter("approx_tasks_truncated_total").add(truncated)
 
-    return Schedule(instance, times)
+    return Schedule(instance, np.array(times, dtype=float).reshape(n, m))
 
 
 class ApproxScheduler(Scheduler):

@@ -125,14 +125,10 @@ def _polish_profiles(
             # *donor* hosts the cheapest accuracy-per-Joule work.  A
             # short geometric line search per (donor, recipient) pair
             # covers coarse and fine moves.
-            flops = schedule.task_flops
             tasks = instance.tasks
-            gains = np.array(
-                [task.accuracy.marginal_gain(min(f, task.f_max)) for task, f in zip(tasks, flops)]
-            )
-            losses = np.array(
-                [task.accuracy.marginal_loss(min(f, task.f_max)) for task, f in zip(tasks, flops)]
-            )
+            flops = np.minimum(schedule.task_flops, tasks.f_max)
+            gains = tasks.segment_table.marginal_gains(flops)
+            losses = tasks.segment_table.marginal_losses(flops)
             effs = instance.cluster.efficiencies
             deadlines = tasks.deadlines
             desiring = gains > 0.0

@@ -20,14 +20,13 @@ Optimal fractional solution for a *fixed* energy profile:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.profiles import EnergyProfile, naive_profile
 from ..core.schedule import Schedule
-from ..core.segments import SegmentState, build_segment_list
 from ..telemetry import get_collector
 from ..utils.errors import ValidationError
 from .single_machine import solve_single_machine
@@ -38,8 +37,9 @@ __all__ = ["NaiveSolution", "compute_naive_solution", "WaterFiller"]
 class WaterFiller:
     """Solves ``Σ_r s_r · min(τ, cap_r) = W`` for the common busy time τ.
 
-    Precomputes the piecewise-linear capacity curve once; each query is a
-    binary search plus one linear interpolation.
+    Precomputes the piecewise-linear capacity curve once; :meth:`taus`
+    answers a whole vector of work queries with one binary search and
+    one linear interpolation per query.
     """
 
     def __init__(self, speeds: np.ndarray, caps: np.ndarray):
@@ -53,14 +53,11 @@ class WaterFiller:
         # Speed still active on [caps_sorted[k-1], caps_sorted[k]): machines
         # whose cap is >= the interval, i.e. suffix sums.
         suffix = np.concatenate([np.cumsum(speeds_sorted[::-1])[::-1], [0.0]])
-        # Work delivered when τ reaches each sorted cap.
-        # Work delivered when τ reaches each sorted cap (incremental
-        # integration of the active speed over each interval).
-        g = np.zeros(self._caps_sorted.size + 1)
-        prev = 0.0
-        for k, cap in enumerate(self._caps_sorted):
-            g[k + 1] = g[k] + suffix[k] * (cap - prev)
-            prev = cap
+        # Work delivered when τ reaches each sorted cap: the running sum
+        # (left to right, as ``cumsum`` adds) of the active speed times
+        # each interval's length.
+        steps = suffix[:-1] * np.diff(self._caps_sorted, prepend=0.0)
+        g = np.concatenate([[0.0], np.cumsum(steps)])
         self._knot_tau = np.concatenate([[0.0], self._caps_sorted])
         self._knot_work = g
         self._active_speed = suffix  # active speed on segment k: [knot_k, knot_{k+1})
@@ -72,23 +69,34 @@ class WaterFiller:
         """Total deliverable work ``Σ_r s_r · cap_r`` (FLOP)."""
         return self._max_work
 
-    def tau(self, work: float, *, tolerance: float = 1e-7) -> float:
-        """Minimal τ delivering ``work`` FLOP; clamps small overshoot."""
-        if work <= 0.0:
-            return 0.0
-        if work >= self._max_work:
-            if work > self._max_work * (1.0 + tolerance) + tolerance:
-                raise ValidationError(
-                    f"requested work {work:.6g} exceeds capacity {self._max_work:.6g}"
-                )
-            return self._max_tau
-        k = int(np.searchsorted(self._knot_work, work, side="left")) - 1
-        k = max(k, 0)
+    def taus(self, work: np.ndarray, *, tolerance: float = 1e-7) -> np.ndarray:
+        """Minimal τ delivering each entry of ``work``; clamps small overshoot.
+
+        Zero or negative work needs no time; work at or beyond the
+        capacity (within ``tolerance``) takes the largest cap; more than
+        that raises :class:`ValidationError`.
+        """
+        work = np.asarray(work, dtype=float)
+        none = work <= 0.0
+        full = ~none & (work >= self._max_work)
+        over = full & (work > self._max_work * (1.0 + tolerance) + tolerance)
+        if over.any():
+            worst = float(work[over].max())
+            raise ValidationError(f"requested work {worst:.6g} exceeds capacity {self._max_work:.6g}")
+        last = max(self._caps_sorted.size - 1, 0)
+        k = np.searchsorted(self._knot_work, work, side="left") - 1
+        k = np.clip(k, 0, last)
         speed = self._active_speed[k]
-        if speed <= 0.0:
-            # Plateau (duplicate caps): jump to the knot end.
-            return float(self._knot_tau[k + 1])
-        return float(self._knot_tau[k] + (work - self._knot_work[k]) / speed)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rising = self._knot_tau[k] + (work - self._knot_work[k]) / speed
+        # Plateau (duplicate caps): jump to the knot end.
+        out = np.where(speed > 0.0, rising, self._knot_tau[np.minimum(k + 1, last + 1)])
+        out = np.where(full, self._max_tau, out)
+        return np.where(none, 0.0, out)
+
+    def tau(self, work: float, *, tolerance: float = 1e-7) -> float:
+        """Minimal τ delivering ``work`` FLOP (one-element :meth:`taus`)."""
+        return float(self.taus(np.array([work]), tolerance=tolerance)[0])
 
 
 @dataclass
@@ -98,7 +106,6 @@ class NaiveSolution:
     times: np.ndarray  # (n, m) seconds
     work: np.ndarray  # (n,) FLOP granted per task
     profile: EnergyProfile
-    segments: List[SegmentState]
 
     def to_schedule(self, instance: ProblemInstance) -> Schedule:
         return Schedule(instance, self.times)
@@ -124,7 +131,7 @@ def compute_naive_solution(
     temp_deadlines = (speeds * np.minimum(deadlines[:, None], caps[None, :])).sum(axis=1)
 
     with tele.span("naive.segments"):
-        segments = build_segment_list(tasks)
+        segments = tasks.segment_table
     # A degenerate all-zero capacity (budget 0) would make deadline 0 — the
     # greedy then allocates nothing, which is correct.
     with tele.span("naive.single_machine"):
@@ -134,8 +141,8 @@ def compute_naive_solution(
     with tele.span("naive.water_fill"):
         filler = WaterFiller(speeds, caps)
         cumulative_work = np.cumsum(work)
-        taus = np.array([filler.tau(w) for w in cumulative_work])
+        taus = filler.taus(cumulative_work)
         cumulative_times = np.minimum(taus[:, None], caps[None, :])
         times = np.diff(cumulative_times, axis=0, prepend=0.0)
         np.clip(times, 0.0, None, out=times)  # float dust from the diff
-    return NaiveSolution(times=times, work=work, profile=profile, segments=segments)
+    return NaiveSolution(times=times, work=work, profile=profile)

@@ -33,13 +33,18 @@ against the LP relaxation in the test suite.
 The implementation works at task granularity with the *current* segment
 of each task (marginal gain = slope right of ``f_j``, marginal loss =
 slope left of ``f_j``); chunk sizes never cross a breakpoint, so slopes
-are exact within each step.
+are exact within each step.  A move changes the work of at most two
+tasks, so each iteration re-derives gain, loss and room only for the
+tasks whose work changed since the previous one (compared exactly, so
+the values are those a full recomputation would give).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -66,6 +71,44 @@ def deadline_slack(times: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
     # Suffix minimum along tasks: reverse, running-min, reverse.
     suffix_min = np.minimum.accumulate(gaps[::-1], axis=0)[::-1]
     return np.maximum(suffix_min, 0.0)
+
+
+def _task_margins(flops: float, bp: List[float], slopes: List[float]) -> tuple[float, float, float, float]:
+    """``(gain, loss, next_room, prev_room)`` of one task at ``flops`` FLOP.
+
+    ``bp`` and ``slopes`` are the task's breakpoints and piece slopes.
+    Gain and loss are the accuracy function's right and left derivatives
+    (``marginal_gain``/``marginal_loss``); the rooms are the FLOP to the
+    next breakpoint and above the previous one.
+    """
+    f_max = bp[-1]
+    last = len(slopes) - 1
+    f = min(max(flops, 0.0), f_max)
+    # Snap to a breakpoint when within float dust of one: otherwise a
+    # residual ~1e-16·f_max of room pins the pair in the current segment
+    # with an effectively zero growth capacity and the exchange stalls
+    # one segment short of optimal.
+    eps_f = 1e-9 * f_max
+    k_near = bisect_left(bp, f)
+    for k_cand in (k_near - 1, k_near):
+        if 0 <= k_cand < len(bp) and abs(f - bp[k_cand]) <= eps_f:
+            f = bp[k_cand]
+            break
+    if f >= f_max:
+        gain = 0.0
+        next_room = 0.0
+    else:
+        k = min(max(bisect_right(bp, max(f, 0.0)) - 1, 0), last)
+        gain = slopes[k]
+        next_room = bp[k + 1] - f
+    if f <= 0.0:
+        loss = slopes[0]
+        prev_room = 0.0
+    else:
+        k = min(max(bisect_left(bp, f) - 1, 0), last)
+        loss = slopes[k]
+        prev_room = f - bp[k]
+    return gain, loss, next_room, prev_room
 
 
 @dataclass
@@ -102,11 +145,14 @@ def refine_profile(
     f_caps = tasks.f_max
     budget = instance.budget
 
+    table = tasks.segment_table
     if max_iterations is None:
         # Generous bound: each (task, machine, segment) triple can be
         # saturated a handful of times along the exchange path.
-        total_segments = sum(task.accuracy.n_segments for task in tasks)
-        max_iterations = 50 * (total_segments * m + n * m + 10)
+        max_iterations = 50 * (len(table) * m + n * m + 10)
+    counts = table.n_segments.tolist()
+    points = [row[: k + 1] for row, k in zip(table.breakpoints.tolist(), counts)]
+    pieces = [row[:k] for row, k in zip(table.slopes.tolist(), counts)]
 
     if math.isfinite(budget) and budget > 0:
         energy_scale = budget
@@ -114,44 +160,23 @@ def refine_profile(
         energy_scale = float(t.sum(axis=0) @ powers) or 1.0
     eps_energy = _ENERGY_RTOL * max(energy_scale, 1.0)
 
+    gains = np.empty(n)
+    losses = np.empty(n)
+    next_room = np.empty(n)  # FLOP to the next breakpoint (gain side)
+    prev_room = np.empty(n)  # FLOP above the previous breakpoint (loss side)
+    prev_flops = np.full(n, np.nan)  # NaN never compares equal: all rows start stale
+
     iterations = 0
     converged = False
     while iterations < max_iterations:
         iterations += 1
 
         flops = t @ speeds
-        gains = np.empty(n)
-        losses = np.empty(n)
-        next_room = np.empty(n)  # FLOP to the next breakpoint (gain side)
-        prev_room = np.empty(n)  # FLOP above the previous breakpoint (loss side)
-        for j, task in enumerate(tasks):
-            acc = task.accuracy
-            f = min(max(flops[j], 0.0), acc.f_max)
-            # Snap to a breakpoint when within float dust of one: otherwise
-            # a residual ~1e-16·f_max of room pins the pair in the current
-            # segment with an effectively zero growth capacity and the
-            # exchange stalls one segment short of optimal.
-            bp = acc.breakpoints
-            eps_f = 1e-9 * acc.f_max
-            k_near = int(np.searchsorted(bp, f))
-            for k_cand in (k_near - 1, k_near):
-                if 0 <= k_cand < bp.size and abs(f - bp[k_cand]) <= eps_f:
-                    f = float(bp[k_cand])
-                    break
-            gains[j] = acc.marginal_gain(f)
-            losses[j] = acc.marginal_loss(f)
-            if f >= acc.f_max:
-                next_room[j] = 0.0
-            else:
-                k = acc.segment_index(f)
-                next_room[j] = acc.breakpoints[k + 1] - f
-            if f <= 0.0:
-                prev_room[j] = 0.0
-            else:
-                bp = acc.breakpoints
-                k = int(np.searchsorted(bp, f, side="left")) - 1
-                k = min(max(k, 0), acc.n_segments - 1)
-                prev_room[j] = f - bp[k]
+        for j in np.flatnonzero(flops != prev_flops).tolist():
+            gains[j], losses[j], next_room[j], prev_room[j] = _task_margins(
+                float(flops[j]), points[j], pieces[j]
+            )
+        prev_flops = flops
 
         slack = deadline_slack(t, deadlines)
 

@@ -11,7 +11,7 @@ from .instance import ProblemInstance, beta_of_budget, budget_for_beta
 from .machine import Cluster, Machine
 from .profiles import EnergyProfile, naive_profile
 from .schedule import FeasibilityReport, Schedule, Violation, check_feasibility
-from .segments import SegmentState, build_segment_list, order_by_slope, task_used_flops
+from .segments import SegmentTable, build_segment_list
 from .serialization import (
     cluster_from_dict,
     cluster_to_dict,
@@ -55,10 +55,8 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
-    "SegmentState",
+    "SegmentTable",
     "build_segment_list",
-    "order_by_slope",
-    "task_used_flops",
     "Task",
     "TaskSet",
 ]

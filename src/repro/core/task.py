@@ -10,13 +10,16 @@ EDF order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..utils.errors import ValidationError
 from ..utils.validation import check_positive, require
 from .accuracy import PiecewiseLinearAccuracy
+
+if TYPE_CHECKING:  # pragma: no cover - segments imports this module
+    from .segments import SegmentTable
 
 __all__ = ["Task", "TaskSet"]
 
@@ -89,6 +92,7 @@ class TaskSet:
         self._tasks = tuple(tasks)
         self._deadlines = np.array([t.deadline for t in tasks], dtype=float)
         self._f_max = np.array([t.f_max for t in tasks], dtype=float)
+        self._segment_table: Optional[SegmentTable] = None
 
     # -- container protocol -------------------------------------------------
 
@@ -122,6 +126,20 @@ class TaskSet:
         return v
 
     @property
+    def segment_table(self) -> SegmentTable:
+        """The tasks' accuracy functions packed into arrays (read-only).
+
+        Built by :func:`repro.core.segments.build_segment_list` on first
+        use and cached: tasks are immutable, so the table lives exactly
+        as long as this task set.
+        """
+        if self._segment_table is None:
+            from . import segments
+
+            self._segment_table = segments.build_segment_list(self)
+        return self._segment_table
+
+    @property
     def d_max(self) -> float:
         """The last (largest) deadline ``d^max``."""
         return float(self._deadlines[-1])
@@ -151,7 +169,7 @@ class TaskSet:
         flops = np.asarray(flops, dtype=float)
         if flops.shape != (len(self),):
             raise ValidationError(f"expected {len(self)} work values, got shape {flops.shape}")
-        return np.array([t.accuracy.value(f) for t, f in zip(self._tasks, flops)])
+        return self.segment_table.values(flops)
 
     def max_accuracy_sum(self) -> float:
         """``Σ_j a_j^max`` — upper bound on any schedule's total accuracy."""

@@ -259,7 +259,15 @@ def test_hedged_dispatch_cancels_loser_grant():
         supervise=True,
         heartbeat_seconds=0.1,
     )
-    manager = ClusterManager(config).start()
+    # Each shard's first window stalls far past hedge_after_seconds, so the
+    # first request's primary is slow however fast the solve itself is: a
+    # hedge fires, and whichever copy loses is cancelled.
+    stalls = [
+        ChaosEvent(seq=i, kind="worker_stall", site=WORKER_SITE, shard=shard, at_op=1, magnitude=0.25)
+        for i, shard in enumerate(config.shard_ids())
+    ]
+    injector = FaultInjector(ChaosSchedule.from_events(stalls))
+    manager = ClusterManager(config, injector=injector).start()
     try:
         results = [
             manager.submit("approx", doc, trace_id=f"{i:04x}beef{i:08x}") for i in range(6)
