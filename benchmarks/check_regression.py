@@ -23,10 +23,11 @@ overhead must stay < 5%.  Phases below a 5% baseline share never gate
 (noise), and phases new to the run are reported but ungated.
 
 With ``--lint-runtime`` the gate re-runs the analyzer commands recorded
-in ``benchmarks/BENCH_lint.json`` (``repro lint src`` per-file and
-whole-program) and fails when any run exits non-zero or exceeds
-``--lint-factor`` times (default 2x) its committed ``wall_s`` budget —
-the backstop against an accidentally quadratic rule landing unnoticed.
+in ``benchmarks/BENCH_lint.json`` (``repro lint src`` and ``repro lint
+src tests``, each applying every rule) and fails when any run exits
+non-zero or exceeds ``--lint-factor`` times (default 2x) its committed
+``wall_s`` budget — the backstop against an accidentally quadratic rule
+landing unnoticed.
 
 Usage::
 

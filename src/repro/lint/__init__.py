@@ -28,7 +28,7 @@ Concurrency rules
               trace/collector context (silent trace-id loss)
     ========  =====================================================
 
-Whole-program rules (``repro lint --whole-program``)
+Whole-program rules (joined over every file of the run)
     ========  =====================================================
     RL016     cross-module lock-order cycle (deadlock by reversed
               acquisition order, joined over the call graph)
@@ -41,12 +41,11 @@ Whole-program rules (``repro lint --whole-program``)
               region (RL011 through the call graph)
     ========  =====================================================
 
-The whole-program pass (:mod:`repro.lint.flow`) builds per-file
-dataflow summaries — symbol tables, per-function CFGs with explicit
-exception edges, lock regions, call records — and joins them into a
-project-wide call graph; :mod:`repro.lint.cache` keeps unchanged
-files' summaries across runs (content-hash keyed, import-closure
-invalidation).
+Every run is one pass: each file is parsed once, walked once by the
+per-file rules, and summarised (:mod:`repro.lint.flow`) into dataflow
+facts — symbol tables, per-function CFGs with explicit exception edges,
+lock regions, call records — which are joined into a project-wide call
+graph for the whole-program rules.
 
 Any finding can be suppressed per line with ``# repro: noqa[RL001]``
 (or blanket ``# repro: noqa``); see :mod:`repro.lint.suppress`.
@@ -57,7 +56,6 @@ use, ``repro lint`` (see :mod:`repro.lint.cli`) for the command line.
 
 from __future__ import annotations
 
-from .cache import LintCache
 from .engine import LintEngine, lint_file, lint_paths, lint_source
 from .finding import Finding, Severity
 from .registry import RuleRegistry, all_rules, get_rule, register_rule
@@ -67,7 +65,6 @@ from .suppress import SuppressionIndex
 
 __all__ = [
     "Finding",
-    "LintCache",
     "LintEngine",
     "Rule",
     "RuleRegistry",

@@ -6,8 +6,6 @@ Usage::
     repro lint src --select RL01         # concurrency rules only
     repro lint src --ignore RL002,RL005  # drop the warnings
     repro lint src --format json         # machine-readable output
-    repro lint src --whole-program       # + call-graph/CFG rules RL016-RL019
-    repro lint src --whole-program --cache .repro-lint-cache   # incremental
     repro lint src --format sarif        # SARIF 2.1.0 (PR annotations)
     repro lint --list-rules              # the rule catalog, one line each
 
@@ -51,19 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--whole-program",
-        action="store_true",
-        help="run the cross-file rules (RL016-RL019) over a project-wide "
-        "call graph and per-function CFGs",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="whole-program mode: reuse per-file analysis from this cache "
-        "file (e.g. .repro-lint-cache); unchanged files are not re-analysed",
-    )
-    parser.add_argument(
         "--no-statistics",
         action="store_true",
         help="text format: omit the per-rule tally",
@@ -89,12 +74,7 @@ def run_lint(args: argparse.Namespace) -> int:
             for rule in sorted(all_rules(select, ignore), key=lambda r: r.code):
                 print(f"{rule.code}  {rule.name} [{rule.severity}]")
             return 0
-        engine = LintEngine(
-            select,
-            ignore,
-            whole_program=bool(getattr(args, "whole_program", False)),
-            cache_path=getattr(args, "cache", None),
-        )
+        engine = LintEngine(select, ignore)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

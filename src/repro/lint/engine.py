@@ -1,27 +1,37 @@
-"""The analysis engine: one AST walk per file, rules dispatched by node type.
+"""The analysis engine: one parse per file, then the whole program.
 
 :class:`LintEngine` owns the rule set (already select/ignore-filtered)
-and turns paths into findings.  Per file it
+and turns sources into findings.  Every entry point — one source, one
+file, directory trees — runs the same routine.  Per file it
 
 1. reads and parses the source (a syntax error becomes a single
    ``RL000`` finding — a file the analyzer cannot parse must fail the
-   gate, not silently pass it);
+   gate, not silently pass it) and tokenizes it once for its
+   ``# repro: noqa[...]`` comments;
 2. builds a :class:`LintContext` — parent links, enclosing-function
    lookup, source segments — shared by every rule;
 3. walks the tree **once**, dispatching each node to the rules
-   subscribed to its type, and drops findings suppressed by a
-   ``# repro: noqa[...]`` comment on the flagged line.
+   subscribed to its type;
+4. summarises the same tree for the whole-program rules
+   (:func:`~repro.lint.flow.summaries.summarize_module`).
 
-Findings come back sorted by location, so output is deterministic.
+The summaries are then joined into a
+:class:`~repro.lint.flow.program.Program` — for a single source, just
+its own module — and each ``whole_program`` rule (RL016–RL019) runs
+once over the join.  Findings on a line carrying a matching suppression
+comment are dropped, and the rest come back sorted by location, so
+output is deterministic.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from .finding import Finding, Severity
+from .flow.program import Program
+from .flow.summaries import ModuleSummary, summarize_module
 from .registry import all_rules
 from .suppress import SuppressionIndex
 
@@ -77,186 +87,88 @@ class LintContext:
 
 
 class LintEngine:
-    """Run a (filtered) rule set over sources, files and directory trees.
-
-    ``whole_program=True`` adds a second phase after the per-file walks:
-    every parsed file contributes a dataflow summary, the summaries are
-    joined into a :class:`~repro.lint.flow.program.Program`, and the
-    ``whole_program`` rules (RL016–RL019) run once over the join.  With
-    ``cache_path`` set, per-file work (findings *and* summaries) is
-    reused across runs for files whose content hash — and whose import
-    closure — is unchanged.
-    """
+    """Run a (filtered) rule set over sources, files and directory trees."""
 
     def __init__(
         self,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        *,
-        whole_program: bool = False,
-        cache_path: Optional[Union[str, Path]] = None,
     ) -> None:
         self.rules = all_rules(select, ignore)
-        self.whole_program = whole_program
-        self.cache_path = Path(cache_path) if cache_path is not None else None
-        #: ``(reused, analysed)`` file counts of the last whole-program run.
-        self.last_cache_stats: Optional[tuple[int, int]] = None
-
-    # -- single sources --------------------------------------------------------
 
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
         """Findings for one in-memory source (the test-fixture entry point)."""
-        rel = _normalise(path)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    code="RL000",
-                    message=f"syntax error: {exc.msg}",
-                    severity=Severity.ERROR,
-                )
-            ]
-        ctx = LintContext(source, tree, display_path=path, rel_path=rel)
-        suppressions = SuppressionIndex.from_source(source)
-        active = [rule for rule in self.rules if rule.applies_to(rel)]
-        if not active:
-            return []
-        dispatch: Dict[Type[ast.AST], List] = {}
-        for rule in active:
-            for node_type in rule.node_types:
-                dispatch.setdefault(node_type, []).append(rule)
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            for rule in dispatch.get(type(node), ()):
-                findings.extend(rule.visit(node, ctx))
-        return sorted(
-            f for f in findings if not suppressions.is_suppressed(f.line, f.code)
-        )
+        return self._lint([(path, source)])
 
     def lint_file(self, path: Union[str, Path]) -> List[Finding]:
         """Findings for one file; unreadable files surface as ``RL000``."""
-        display = str(path)
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return [
-                Finding(
-                    path=display,
-                    line=1,
-                    col=0,
-                    code="RL000",
-                    message=f"cannot read file: {exc}",
-                    severity=Severity.ERROR,
-                )
-            ]
-        return self.lint_source(source, path=display)
-
-    # -- trees -----------------------------------------------------------------
+        return self._lint([(str(path), None)])
 
     def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
         """Findings for files and/or directory trees, sorted by location."""
-        if self.whole_program:
-            return self._lint_whole_program(paths)
-        findings: List[Finding] = []
-        for path in _expand(paths):
-            findings.extend(self.lint_file(path))
-        return sorted(findings)
+        return self._lint((str(path), None) for path in _expand(paths))
 
-    # -- whole-program mode ----------------------------------------------------
+    def _lint(self, sources: Iterable[Tuple[str, Optional[str]]]) -> List[Finding]:
+        """The one pass: ``(display path, source)`` pairs → sorted findings.
 
-    def _lint_whole_program(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
-        from .cache import LintCache, file_digest
-        from .flow.program import Program
-        from .flow.summaries import ModuleSummary, summarize_module
-
-        ruleset = ",".join(sorted(rule.code for rule in self.rules))
-        cache = LintCache(self.cache_path, ruleset)
+        A ``None`` source is read from the display path.
+        """
+        program_rules = [rule for rule in self.rules if rule.whole_program]
         findings: List[Finding] = []
         summaries: Dict[str, ModuleSummary] = {}
         suppressions: Dict[str, SuppressionIndex] = {}
-        reanalysed: set = set()  # module names summarised fresh this run
-        pending_hits: List[tuple] = []  # (rel, display, source, entry, summary)
-
-        def analyse(source: str, display: str, rel: str, digest: str) -> None:
-            file_findings = self.lint_source(source, path=display)
-            suppression = SuppressionIndex.from_source(source)
-            summary: Optional[ModuleSummary] = None
-            if not any(f.code == "RL000" for f in file_findings):
-                tree = ast.parse(source, filename=display)
-                summary = summarize_module(tree, rel, display)
-                summaries[summary.decl.name] = summary
-                reanalysed.add(summary.decl.name)
-                cache.store(
-                    rel,
-                    digest,
-                    findings=file_findings,
-                    summary=summary.to_dict(),
-                    suppressed=suppression.suppressed_lines,
-                )
-            findings.extend(file_findings)
-            suppressions[display] = suppression
-
-        for path in _expand(paths):
-            display = str(path)
+        for display, source in sources:
+            if source is None:
+                try:
+                    source = Path(display).read_text(encoding="utf-8")
+                except (OSError, UnicodeDecodeError) as exc:
+                    findings.append(_rl000(display, 1, 0, f"cannot read file: {exc}"))
+                    continue
             try:
-                source = Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
+                tree = ast.parse(source, filename=display)
+            except SyntaxError as exc:
                 findings.append(
-                    Finding(
-                        path=display,
-                        line=1,
-                        col=0,
-                        code="RL000",
-                        message=f"cannot read file: {exc}",
-                        severity=Severity.ERROR,
-                    )
+                    _rl000(display, exc.lineno or 1, (exc.offset or 1) - 1, f"syntax error: {exc.msg}")
                 )
                 continue
             rel = _normalise(display)
-            digest = file_digest(source)
-            entry = cache.lookup(rel, digest) if self.cache_path is not None else None
-            if entry is not None and entry.get("summary") is not None:
-                summary = ModuleSummary.from_dict(entry["summary"])
-                pending_hits.append((rel, display, source, entry, summary))
-            else:
-                cache.misses += 1
-                analyse(source, display, rel, digest)
-
-        # Dependency-closure invalidation: a cached file whose imports
-        # reach a re-analysed module is re-analysed too.
-        if pending_hits:
-            from .flow.symbols import SymbolTable
-
-            decls = [s.decl for s in summaries.values()]
-            decls.extend(hit[4].decl for hit in pending_hits)
-            symtab = SymbolTable(decls)
-            for rel, display, source, entry, summary in pending_hits:
-                closure = symtab.import_closure(summary.decl.name)
-                if reanalysed.intersection(closure):
-                    cache.misses += 1
-                    analyse(source, display, rel, file_digest(source))
-                    continue
-                cache.hits += 1
+            suppression = SuppressionIndex.from_source(source)
+            suppressions[display] = suppression
+            ctx = LintContext(source, tree, display_path=display, rel_path=rel)
+            findings.extend(
+                f for f in self._walk(ctx) if not suppression.is_suppressed(f.line, f.code)
+            )
+            if program_rules:
+                summary = summarize_module(tree, rel, display)
                 summaries[summary.decl.name] = summary
-                findings.extend(cache.findings_of(entry))
-                suppressions[display] = SuppressionIndex(cache.suppressed_of(entry))
-
         program = Program(summaries)
-        for rule in self.rules:
-            if not rule.whole_program:
-                continue
+        for rule in program_rules:
             for finding in rule.visit_program(program):
                 index = suppressions.get(finding.path)
                 if index is not None and index.is_suppressed(finding.line, finding.code):
                     continue
                 findings.append(finding)
-        cache.save()
-        self.last_cache_stats = (cache.hits, cache.misses)
         return sorted(findings)
+
+    def _walk(self, ctx: LintContext) -> List[Finding]:
+        """One walk of ``ctx.tree``, each node dispatched to its rules."""
+        dispatch: Dict[Type[ast.AST], List] = {}
+        for rule in self.rules:
+            if rule.applies_to(ctx.rel_path):
+                for node_type in rule.node_types:
+                    dispatch.setdefault(node_type, []).append(rule)
+        findings: List[Finding] = []
+        for node in ast.walk(ctx.tree):
+            for rule in dispatch.get(type(node), ()):
+                findings.extend(rule.visit(node, ctx))
+        return findings
+
+
+def _rl000(path: str, line: int, col: int, message: str) -> Finding:
+    """The finding for a file the analyzer cannot read or parse."""
+    return Finding(
+        path=path, line=line, col=col, code="RL000", message=message, severity=Severity.ERROR
+    )
 
 
 def _normalise(path: str) -> str:

@@ -8,18 +8,14 @@ summaries (:mod:`.summaries`) that interprocedural rules consume.
 
 The division of labour is deliberate:
 
-* everything *per-file* — parsing, CFG construction, the grant-leak
-  proof, lock regions, call-site dimension inference — happens once per
-  file and is serialised into a :class:`~.summaries.FunctionSummary`,
-  which the on-disk lint cache can keep across runs;
+* everything *per-file* — CFG construction, the grant-leak proof, lock
+  regions, call-site dimension inference — happens once per file, on
+  the tree the per-file rules already walked, and is recorded in a
+  :class:`~.summaries.FunctionSummary`;
 * everything *cross-file* — import resolution, call-graph edges,
   lock-order cycles, transitive blocking closures, argument/parameter
   dimension joins — happens in :class:`~.program.Program` from those
-  summaries alone, cheaply, on every run.
-
-That split is what makes ``repro lint --whole-program`` incremental:
-touching one file re-analyses that file (and its dependency closure),
-while the program-level joins are recomputed from cached summaries.
+  summaries alone, never from the trees.
 """
 
 from .callgraph import CallGraph

@@ -1,12 +1,12 @@
-"""The whole-program view: cached per-file summaries joined per run.
+"""The whole-program view: per-file summaries joined per run.
 
 :class:`Program` owns the symbol table, the call graph, and the derived
 facts the interprocedural rules consume — the cross-module lock-order
 graph (RL016), transitive blocking reachability (RL019), grant-leak
 collection (RL017) and argument/parameter dimension joins (RL018).
-Everything here is recomputed from :class:`~.summaries.ModuleSummary`
-objects on every run; it is cheap (graph walks over small summaries),
-which is what lets the on-disk cache store only the per-file work.
+Everything here is computed from :class:`~.summaries.ModuleSummary`
+objects alone; it is cheap (graph walks over small summaries, with
+symbol resolution by indexed suffix lookup).
 """
 
 from __future__ import annotations

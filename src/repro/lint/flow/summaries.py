@@ -3,10 +3,8 @@
 Everything expensive happens here, once per file: CFG construction, the
 energy-grant leak proof (RL017's engine), lock-region tracking, call
 records with inferred argument dimensions, and direct-blocking
-classification.  A :class:`FunctionSummary` is a plain serialisable
-record — ``to_dict``/``from_dict`` round-trip through JSON — so the
-incremental lint cache can keep summaries across runs and the
-program-level joins (:mod:`.program`) stay cheap.
+classification.  A :class:`FunctionSummary` is a plain record of the
+results, so the program-level joins (:mod:`.program`) stay cheap.
 
 Lock identifiers are canonicalised *file-locally*: ``self._lock`` inside
 ``class EnergyLeaseLedger`` of ``repro.cluster.ledger`` becomes
@@ -33,10 +31,10 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..rules.concurrency import _blocking_reason, _expr_text, _is_lock_expr
-from ..rules.domain import _NAME_DIMS, POLY, Dim, build_env, infer_dim
+from ..rules.domain import _NAME_DIMS, Dim, build_env, infer_dim
 from .cfg import CFG, build_cfg
 from .symbols import ModuleDecl, build_module_decl
 
@@ -56,19 +54,6 @@ _RESERVE_HELPERS = {"_reserve_for"}
 
 #: Method names that settle a grant (return it to the ledger's books).
 _SETTLE_METHODS = {"commit", "release"}
-
-
-def _dim_to_json(dim: Optional[object]) -> Optional[List[int]]:
-    """A known :data:`Dim` as a JSON list; ``POLY``/unknown collapse to None."""
-    if isinstance(dim, tuple):
-        return list(dim)
-    return None
-
-
-def _dim_from_json(raw: Optional[Sequence[int]]) -> Optional[Dim]:
-    if raw is None:
-        return None
-    return (int(raw[0]), int(raw[1]), int(raw[2]), int(raw[3]))
 
 
 @dataclass
@@ -92,29 +77,6 @@ class CallRecord:
     def text(self) -> str:
         return ".".join(self.parts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "parts": list(self.parts),
-            "under_locks": list(self.under_locks),
-            "blocking": self.blocking,
-            "arg_dims": [_dim_to_json(d) for d in self.arg_dims],
-            "kwarg_dims": [[name, _dim_to_json(d)] for name, d in self.kwarg_dims],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "CallRecord":
-        return cls(
-            line=int(raw["line"]),
-            col=int(raw["col"]),
-            parts=tuple(raw["parts"]),
-            under_locks=tuple(raw["under_locks"]),
-            blocking=raw.get("blocking"),
-            arg_dims=tuple(_dim_from_json(d) for d in raw["arg_dims"]),
-            kwarg_dims=tuple((str(n), _dim_from_json(d)) for n, d in raw["kwarg_dims"]),
-        )
-
 
 @dataclass
 class GrantLeak:
@@ -128,27 +90,6 @@ class GrantLeak:
     path_kind: str
     #: Line of the statement whose edge left the function still pending.
     leak_line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "variable": self.variable,
-            "reserve_text": self.reserve_text,
-            "path_kind": self.path_kind,
-            "leak_line": self.leak_line,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "GrantLeak":
-        return cls(
-            line=int(raw["line"]),
-            col=int(raw["col"]),
-            variable=str(raw["variable"]),
-            reserve_text=str(raw["reserve_text"]),
-            path_kind=str(raw["path_kind"]),
-            leak_line=int(raw["leak_line"]),
-        )
 
 
 @dataclass
@@ -168,31 +109,6 @@ class FunctionSummary:
     #: Dimensions of named parameters (from the unit-name tables).
     param_dims: Tuple[Tuple[str, Optional[Dim]], ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "line": self.line,
-            "calls": [c.to_dict() for c in self.calls],
-            "locks_acquired": list(self.locks_acquired),
-            "lock_pairs": [[a, b, line] for a, b, line in self.lock_pairs],
-            "grant_leaks": [leak.to_dict() for leak in self.grant_leaks],
-            "param_dims": [[name, _dim_to_json(d)] for name, d in self.param_dims],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(raw["qualname"]),
-            module=str(raw["module"]),
-            line=int(raw["line"]),
-            calls=[CallRecord.from_dict(c) for c in raw["calls"]],
-            locks_acquired=tuple(raw["locks_acquired"]),
-            lock_pairs=tuple((str(a), str(b), int(line)) for a, b, line in raw["lock_pairs"]),
-            grant_leaks=[GrantLeak.from_dict(leak) for leak in raw["grant_leaks"]],
-            param_dims=tuple((str(n), _dim_from_json(d)) for n, d in raw["param_dims"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -200,21 +116,6 @@ class ModuleSummary:
 
     decl: ModuleDecl
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "decl": self.decl.to_dict(),
-            "functions": {q: s.to_dict() for q, s in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            decl=ModuleDecl.from_dict(raw["decl"]),
-            functions={
-                q: FunctionSummary.from_dict(s) for q, s in raw["functions"].items()
-            },
-        )
 
 
 # -- lock canonicalisation -----------------------------------------------------

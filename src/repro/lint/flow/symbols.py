@@ -8,24 +8,21 @@ attributes), and its import aliases.  A :class:`SymbolTable` joins the
 declarations of every file in the run and resolves dotted references
 across them.
 
-Everything here is plain data (``to_dict``/``from_dict`` round-trip),
-because declarations ride in the on-disk lint cache: an unchanged file
-contributes its symbols without being re-parsed.
-
 Module naming is best-effort by design: inside a ``src`` tree the
 dotted name is the path after the last ``src`` component (so
 ``src/repro/cluster/ledger.py`` → ``repro.cluster.ledger``); elsewhere
 it is the longest path suffix whose components are valid identifiers.
 References are then resolved by *suffix match* against the program's
 modules, which makes fixture trees in temp directories resolve exactly
-like installed packages.
+like installed packages.  The table indexes every dotted suffix of every
+name once, so a suffix lookup is a dictionary probe, not a scan.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["FunctionDecl", "ClassDecl", "ModuleDecl", "SymbolTable", "module_name_for"]
 
@@ -72,29 +69,6 @@ class FunctionDecl:
     def is_method(self) -> bool:
         return self.class_name is not None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "module": self.module,
-            "class_name": self.class_name,
-            "line": self.line,
-            "params": list(self.params),
-            "decorators": list(self.decorators),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FunctionDecl":
-        return cls(
-            qualname=doc["qualname"],
-            name=doc["name"],
-            module=doc["module"],
-            class_name=doc.get("class_name"),
-            line=int(doc.get("line", 1)),
-            params=list(doc.get("params", [])),
-            decorators=list(doc.get("decorators", [])),
-        )
-
 
 @dataclass
 class ClassDecl:
@@ -108,25 +82,6 @@ class ClassDecl:
     #: body, as attribute → *unresolved* class reference (dotted text).
     attr_types: Dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ClassDecl":
-        return cls(
-            name=doc["name"],
-            module=doc["module"],
-            bases=list(doc.get("bases", [])),
-            methods=list(doc.get("methods", [])),
-            attr_types=dict(doc.get("attr_types", {})),
-        )
-
 
 @dataclass
 class ModuleDecl:
@@ -138,27 +93,6 @@ class ModuleDecl:
     imports: Dict[str, str] = field(default_factory=dict)  #: alias → dotted target
     functions: List[FunctionDecl] = field(default_factory=list)
     classes: List[ClassDecl] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "rel_path": self.rel_path,
-            "display_path": self.display_path,
-            "imports": dict(self.imports),
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ModuleDecl":
-        return cls(
-            name=doc["name"],
-            rel_path=doc["rel_path"],
-            display_path=doc.get("display_path", doc["rel_path"]),
-            imports=dict(doc.get("imports", {})),
-            functions=[FunctionDecl.from_dict(f) for f in doc.get("functions", [])],
-            classes=[ClassDecl.from_dict(c) for c in doc.get("classes", [])],
-        )
 
 
 def _dotted(node: ast.expr) -> Optional[str]:
@@ -264,6 +198,25 @@ def _collect_class(node: ast.ClassDef, module: str, decl: ModuleDecl) -> None:
     decl.classes.append(cls)
 
 
+def _suffix_index(names: Iterable[str]) -> Dict[str, List[str]]:
+    """Every proper dotted suffix → the names ending in ``.<suffix>``.
+
+    ``a.b.c`` is filed under ``b.c`` and ``c``: exactly the references
+    ``name.endswith("." + ref)`` would match, found without a scan.
+    """
+    index: Dict[str, List[str]] = {}
+    for name in names:
+        for pos, char in enumerate(name):
+            if char == ".":
+                index.setdefault(name[pos + 1 :], []).append(name)
+    return index
+
+
+def _unique(matches: Optional[List[str]]) -> Optional[str]:
+    """The single suffix match, or ``None`` when absent or ambiguous."""
+    return matches[0] if matches is not None and len(matches) == 1 else None
+
+
 class SymbolTable:
     """Joined declarations of every module in the run, with resolution."""
 
@@ -279,6 +232,11 @@ class SymbolTable:
                     self._methods.setdefault(func.name, []).append(func.qualname)
             for cls in mod.classes:
                 self.classes[f"{mod.name}.{cls.name}"] = cls
+        self._module_suffixes = _suffix_index(self.modules)
+        self._suffixes = {
+            "function": _suffix_index(self.functions),
+            "class": _suffix_index(self.classes),
+        }
 
     # -- reference resolution ----------------------------------------------------
 
@@ -286,9 +244,7 @@ class SymbolTable:
         """A dotted module reference → the program module it names."""
         if ref in self.modules:
             return ref
-        suffix = f".{ref}"
-        matches = [name for name in self.modules if name.endswith(suffix)]
-        return matches[0] if len(matches) == 1 else None
+        return _unique(self._module_suffixes.get(ref))
 
     def resolve_class(self, module: str, ref: str) -> Optional[str]:
         """A class reference as written in ``module`` → class qualname."""
@@ -302,9 +258,7 @@ class SymbolTable:
         table = self.functions if kind == "function" else self.classes
         if qualname in table:
             return qualname
-        suffix = f".{qualname}"
-        matches = [q for q in table if q.endswith(suffix)]
-        return matches[0] if len(matches) == 1 else None
+        return _unique(self._suffixes[kind].get(qualname))
 
     def _resolve_qualified(self, module: str, ref: str, *, kind: str) -> Optional[str]:
         mod = self.modules.get(module)
@@ -357,23 +311,3 @@ class SymbolTable:
                 if resolved is not None:
                     queue.append(resolved)
         return None
-
-    def import_closure(self, module: str) -> Tuple[str, ...]:
-        """Program modules reachable from ``module`` through imports."""
-        seen: set[str] = set()
-        queue: List[str] = [module]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            decl = self.modules.get(current)
-            if decl is None:
-                continue
-            for target in decl.imports.values():
-                for candidate in (target, target.rsplit(".", 1)[0] if "." in target else target):
-                    resolved = self.resolve_module(candidate)
-                    if resolved is not None and resolved not in seen:
-                        queue.append(resolved)
-        seen.discard(module)
-        return tuple(sorted(seen))

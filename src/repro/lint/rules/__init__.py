@@ -45,8 +45,8 @@ class Rule:
     include: ClassVar[Optional[Sequence[str]]] = None
     #: Glob patterns the rule never applies to (wins over ``include``).
     exclude: ClassVar[Sequence[str]] = ()
-    #: Whole-program rules run once per *run* (``visit_program``) instead
-    #: of per node, and only under ``repro lint --whole-program``.
+    #: Whole-program rules run once per *run* (``visit_program``) over
+    #: the joined summaries of every file, instead of per node.
     whole_program: ClassVar[bool] = False
 
     def applies_to(self, rel_path: str) -> bool:

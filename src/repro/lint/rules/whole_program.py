@@ -1,7 +1,7 @@
 """Whole-program rules: lock cycles, grant leaks, units, transitive blocking.
 
-These rules consume the :class:`~repro.lint.flow.program.Program` built
-by ``repro lint --whole-program`` — they see every analysed file's
+These rules consume the :class:`~repro.lint.flow.program.Program` the
+engine joins on every run — they see every analysed file's
 summaries at once, so they catch exactly the bug classes a one-file AST
 walk cannot:
 

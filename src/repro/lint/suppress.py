@@ -66,11 +66,6 @@ class SuppressionIndex:
             return False
         return codes is _ALL or "*" in codes or code.upper() in codes
 
-    @property
-    def suppressed_lines(self) -> Dict[int, FrozenSet[str]]:
-        """The raw index (for the unused-suppression audit in tests)."""
-        return dict(self._line_codes)
-
 
 def _parse_comment(text: str) -> Optional[FrozenSet[str]]:
     """The rule codes a comment suppresses, or ``None`` for no directive."""

@@ -16,7 +16,8 @@ under a telemetry registry, and reports:
   where the solve wall time actually went);
 * **sampler overhead** — median wall time of the solve workload with a
   running :class:`~repro.profile.sampler.StackSampler` against the
-  unprofiled median (<5% is the budget; <2% typical at the default Hz);
+  unprofiled median, over passes of at least a second each (<5% is the
+  budget; <2% typical at the default Hz);
 * **artifacts** — an attributed sampled profile exported as flamegraph
   HTML, speedscope JSON and collapsed text when paths are given.
 
@@ -28,6 +29,7 @@ be measured against).
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -51,6 +53,9 @@ WORKLOAD_CASES: Tuple[Tuple[int, int, int], ...] = ((100, 5, 7), (60, 3, 11))
 
 #: The solve paths whose spans must cover >=90% of the measured wall time.
 SOLVE_PATHS = ("fractional", "lp", "rounding")
+
+#: Shortest measured pass of the sampler-overhead check, in seconds.
+_MIN_PASS_SECONDS = 1.0
 
 
 def _instances():
@@ -119,27 +124,47 @@ def _profile_path(runner: Callable[[], None], repeats: int) -> Dict[str, Any]:
 def _measure_overhead(
     runners: Dict[str, Callable[[], None]], hz: float, repeats: int
 ) -> Dict[str, Any]:
-    """Median solve wall time with and without a running sampler."""
+    """Median solve wall time with and without a running sampler.
 
-    def one_pass() -> float:
+    One pass over the solve paths takes about a tenth of a second, where
+    scheduler noise on a shared machine exceeds the 5% bar.  So one pass
+    is timed once and turned into an iteration count that makes each
+    measured pass last at least :data:`_MIN_PASS_SECONDS`.  Base and
+    sampled passes run the same count and alternate which goes first, so
+    drift in machine load falls on both sides alike.
+    """
+
+    def one_pass(iterations: int) -> float:
         began = time.perf_counter()
-        for path in SOLVE_PATHS:
-            runners[path]()
+        for _ in range(iterations):
+            for path in SOLVE_PATHS:
+                runners[path]()
         return time.perf_counter() - began
+
+    iterations = max(1, math.ceil(_MIN_PASS_SECONDS / max(one_pass(1), 1e-6)))
+    registry = MetricsRegistry()
+
+    def sampled_pass() -> float:
+        with collector(registry), StackSampler(registry, hz=hz):
+            seconds = one_pass(iterations)
+        return seconds
 
     base: List[float] = []
     sampled: List[float] = []
-    registry = MetricsRegistry()
-    for _ in range(max(repeats, 1)):
-        base.append(one_pass())
-        with collector(registry), StackSampler(registry, hz=hz):
-            sampled.append(one_pass())
+    for index in range(max(repeats, 1)):
+        if index % 2:
+            sampled.append(sampled_pass())
+            base.append(one_pass(iterations))
+        else:
+            base.append(one_pass(iterations))
+            sampled.append(sampled_pass())
     base_median = statistics.median(base)
     sampled_median = statistics.median(sampled)
     raw = (sampled_median / base_median - 1.0) if base_median else 0.0
     return {
         "hz": hz,
         "repeats": len(base),
+        "iterations": iterations,
         "base_seconds": base_median,
         "sampled_seconds": sampled_median,
         "raw_overhead_fraction": raw,

@@ -1,4 +1,4 @@
-"""Whole-program dataflow tests: CFGs, call graph, RL016–RL019, cache, SARIF.
+"""Whole-program dataflow tests: CFGs, call graph, RL016–RL019, SARIF.
 
 The RL016–RL019 rules exclude test paths by design (``tests/*`` and
 ``test_*`` globs), and pytest's ``tmp_path`` embeds the test name — so
@@ -17,12 +17,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repro.lint.cache import file_digest
 from repro.lint.engine import LintEngine
 from repro.lint.flow.cfg import build_cfg
 from repro.lint.flow.program import Program
 from repro.lint.flow.summaries import summarize_module
-from repro.lint.flow.symbols import SymbolTable, module_name_for
+from repro.lint.flow.symbols import SymbolTable, build_module_decl, module_name_for
 from repro.lint.reporters import SARIF_SCHEMA_URI, render_sarif
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
@@ -47,7 +46,7 @@ def install_fixture(tmp_path: Path, name: str) -> Path:
 def whole_program_findings(tmp_path, monkeypatch, fixture: str, code: str):
     install_fixture(tmp_path, fixture)
     monkeypatch.chdir(tmp_path)
-    engine = LintEngine(select=[code], whole_program=True)
+    engine = LintEngine(select=[code])
     return engine.lint_paths(["src"])
 
 
@@ -122,7 +121,7 @@ class TestGrantLeak:
         )
         path.write_text(patched + "\n")
         monkeypatch.chdir(tmp_path)
-        engine = LintEngine(select=["RL017"], whole_program=True)
+        engine = LintEngine(select=["RL017"])
         assert engine.lint_paths(["src"]) == []
 
 
@@ -397,75 +396,57 @@ class TestCallGraph:
         assert module_name_for("src/repro/cluster/ledger.py") == "repro.cluster.ledger"
         assert module_name_for("deep/tmp/dir/pkg/mod.py") == "deep.tmp.dir.pkg.mod"
 
-    def test_import_closure_reaches_through_aliases(self):
+    _CALLER = "import util\n\ndef run():\n    return util.helper()\n"
+
+    def test_ambiguous_suffix_resolves_to_nothing(self):
         program = self._program(
             {
-                "mod_a": "import mod_b\n",
-                "mod_b": "import mod_c\n",
-                "mod_c": "X = 1\n",
+                "a/util": "def helper():\n    return 1\n",
+                "b/util": "def helper():\n    return 2\n",
+                "caller": self._CALLER,
             }
         )
-        table = SymbolTable([s.decl for s in program.summaries.values()])
-        closure = table.import_closure("repro.flowcase.mod_a")
-        assert "repro.flowcase.mod_b" in closure
-        assert "repro.flowcase.mod_c" in closure
+        assert program.symtab.resolve_module("util") is None
+        assert program.symtab.resolve_function("repro.flowcase.caller", "util.helper") is None
+        assert program.callgraph.callees("repro.flowcase.caller.run") == []
 
-
-# -- the incremental cache -----------------------------------------------------
-
-
-class TestIncrementalCache:
-    def _engine(self):
-        return LintEngine(select=["RL016"], whole_program=True, cache_path="lint-cache.json")
-
-    def test_touched_file_reanalyses_untouched_does_not(self, tmp_path, monkeypatch):
-        root = install_fixture(tmp_path, "rl016_good")
-        monkeypatch.chdir(tmp_path)
-
-        first = self._engine()
-        baseline = first.lint_paths(["src"])
-        assert first.last_cache_stats == (0, 2)
-        assert Path("lint-cache.json").exists()
-
-        second = self._engine()
-        assert second.lint_paths(["src"]) == baseline
-        assert second.last_cache_stats == (2, 0)  # everything served from cache
-
-        # mod_a imports mod_b, not the reverse: touching mod_a must
-        # re-analyse only mod_a.
-        mod_a = root / "mod_a.py"
-        mod_a.write_text(mod_a.read_text() + "\n# touched\n")
-        third = self._engine()
-        assert third.lint_paths(["src"]) == baseline
-        assert third.last_cache_stats == (1, 1)
-
-    def test_dependency_closure_invalidation(self, tmp_path, monkeypatch):
-        root = install_fixture(tmp_path, "rl016_good")
-        monkeypatch.chdir(tmp_path)
-        self._engine().lint_paths(["src"])
-
-        # Touching mod_b invalidates mod_a too (its import closure
-        # reaches the re-analysed module) — stale summaries must not
-        # survive a dependency change.
-        mod_b = root / "mod_b.py"
-        mod_b.write_text(mod_b.read_text() + "\n# touched\n")
-        engine = self._engine()
-        engine.lint_paths(["src"])
-        assert engine.last_cache_stats == (0, 2)
-
-    def test_digest_is_content_addressed(self):
-        assert file_digest("a = 1\n") == file_digest("a = 1\n")
-        assert file_digest("a = 1\n") != file_digest("a = 2\n")
-
-    def test_ruleset_change_drops_the_cache(self, tmp_path, monkeypatch):
-        install_fixture(tmp_path, "rl016_good")
-        monkeypatch.chdir(tmp_path)
-        self._engine().lint_paths(["src"])
-        other = LintEngine(
-            select=["RL017"], whole_program=True, cache_path="lint-cache.json"
+    def test_unique_suffix_resolves(self):
+        program = self._program(
+            {"a/util": "def helper():\n    return 1\n", "caller": self._CALLER}
         )
-        other.lint_paths(["src"])
-        assert other.last_cache_stats == (0, 2)  # different rules → cold cache
+        assert program.symtab.resolve_module("util") == "repro.flowcase.a.util"
+        assert program.symtab.resolve_module("a.util") == "repro.flowcase.a.util"
+        assert [c for c, _ in program.callgraph.callees("repro.flowcase.caller.run")] == [
+            "repro.flowcase.a.util.helper"
+        ]
+
+    def test_exact_name_wins_over_suffix_match(self):
+        # ``util`` names one module exactly and is the tail of another.
+        table = SymbolTable(
+            [
+                build_module_decl(ast.parse("def helper():\n    pass\n"), rel, rel)
+                for rel in ("util.py", "src/repro/flowcase/util.py")
+            ]
+        )
+        assert table.resolve_module("util") == "util"
+        assert table.resolve_function("caller", "util.helper") == "util.helper"
+        assert table.resolve_module("flowcase.util") == "repro.flowcase.util"
+
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        install_fixture(tmp_path, "rl016_bad")
+        monkeypatch.chdir(tmp_path)
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        findings = LintEngine().lint_paths(["src"])
+        assert sorted(parsed) == sorted(str(p) for p in Path("src").rglob("*.py"))
+        assert len(parsed) == 2
+        assert [f.code for f in findings] == ["RL016"]  # the program rules saw both trees
 
 
 # -- SARIF output --------------------------------------------------------------
@@ -580,7 +561,7 @@ class TestSarif:
     def _document(self, tmp_path, monkeypatch):
         install_fixture(tmp_path, "rl017_bad")
         monkeypatch.chdir(tmp_path)
-        engine = LintEngine(select=["RL017"], whole_program=True)
+        engine = LintEngine(select=["RL017"])
         findings = engine.lint_paths(["src"])
         assert findings
         return findings, engine, json.loads(render_sarif(findings, engine.rules))
