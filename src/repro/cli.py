@@ -1108,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_clu.add_argument("--max-batch", type=int, default=8, help="max requests coalesced per solve window")
     p_clu.add_argument(
-        "--max-wait", type=float, default=10.0, metavar="MS", help="max time a request waits for its window"
+        "--max-wait", type=float, default=10.0, metavar="MS", help="cap on a request's wait while its shard is busy"
     )
     p_clu.add_argument(
         "--solver-timeout", type=float, default=None, metavar="SECONDS", help="per-request solver deadline"

@@ -1,18 +1,27 @@
-"""Bounded solve windows: coalesce arriving requests into batches.
+"""Work-conserving solve windows: coalesce requests only while a shard is busy.
 
-The front-end does not dispatch every request to its shard
+Under load the front-end does not dispatch every request to its shard
 individually — queue/IPC round-trips would dominate small solves.
 Instead a :class:`WindowBatcher` per shard coalesces arrivals into
-bounded *solve windows*: a window closes when it holds ``max_batch``
-items **or** ``max_wait_seconds`` after its first item arrived,
-whichever comes first.  The first bound caps per-window latency cost,
-the second caps the latency a lone request pays for batching.
+bounded *solve windows*, adaptively (as in Clipper, Crankshaw et al.,
+NSDI 2017): an **idle** shard — no window of this batcher still
+unsettled — takes a window the moment a request arrives.  While a
+dispatched window is in flight, arrivals coalesce, and the next window
+leaves when the shard settles, when it holds ``max_batch`` items, or
+``max_wait_seconds`` after the window opened, whichever comes first.
+So a lone request on an idle shard pays nothing for batching, and the
+timer only caps how long a request waits behind a busy shard — a window
+whose reply was dropped cannot stall the shard past it.
 
 Each submitted item gets a :class:`PendingResult` — a one-shot future
 the dispatch path resolves from the worker's reply (or fails, e.g. when
-the worker dies mid-window).  The batcher owns one daemon thread; the
-dispatch callback runs on it, so callbacks must hand heavy work
-onwards rather than solving inline.
+the worker dies mid-window).  "In flight" is the number of unsettled
+pendings in windows this batcher dispatched: a done-callback on each
+pending decrements it, so every settle path (reply, shard death, stale
+sweep, shed, failed send, hedge won elsewhere) frees the gate without
+the dispatch path having to report back.  The batcher owns one daemon
+thread; the dispatch callback runs on it, so callbacks must hand heavy
+work onwards rather than solving inline.
 
 Overload behaviour
 ------------------
@@ -64,31 +73,46 @@ class PendingResult:
     one result and the loser's settle is detectable for cleanup.
     """
 
-    __slots__ = ("_lock", "_event", "_value", "_error")
+    __slots__ = ("_lock", "_event", "_value", "_error", "_callbacks")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._event = threading.Event()
         self._value: Any = None
         self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[["PendingResult"], None]] = []
 
-    def resolve(self, value: Any) -> bool:
-        """Settle with ``value``; ``False`` if already settled (late loser)."""
+    def _settle(self, value: Any, error: Optional[BaseException]) -> bool:
         with self._lock:
             if self._event.is_set():
                 return False
             self._value = value
+            self._error = error
             self._event.set()
-            return True
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+        return True
+
+    def resolve(self, value: Any) -> bool:
+        """Settle with ``value``; ``False`` if already settled (late loser)."""
+        return self._settle(value, None)
 
     def fail(self, error: BaseException) -> bool:
         """Settle with ``error``; ``False`` if already settled."""
+        return self._settle(None, error)
+
+    def add_done_callback(self, callback: Callable[["PendingResult"], None]) -> None:
+        """Call ``callback(self)`` exactly once, when the result settles.
+
+        It runs on the settling thread, outside this pending's lock — or
+        at once on the caller's thread if the result already settled.
+        """
         with self._lock:
-            if self._event.is_set():
-                return False
-            self._error = error
-            self._event.set()
-            return True
+            if not self._event.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(self)
 
     @property
     def done(self) -> bool:
@@ -110,6 +134,11 @@ class WindowBatcher:
     is responsible for resolving (or failing) every pending result it
     was handed.  Exceptions escaping ``dispatch`` fail the whole window
     — no request is ever silently dropped.
+
+    Dispatch is work-conserving: with no dispatched pending unsettled, a
+    window leaves as soon as an item is queued.  Otherwise queued items
+    wait for the in-flight pendings to settle, for ``max_batch`` of
+    them to gather, or for ``max_wait_seconds`` — whichever comes first.
     """
 
     def __init__(
@@ -146,6 +175,8 @@ class WindowBatcher:
         self._queues: List[List[Tuple[Any, PendingResult]]] = [[] for _ in PRIORITY_CLASSES]
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
+        # Unsettled pendings of dispatched windows; the shard is busy while > 0.
+        self._in_flight = 0
         # The loop runs under a copy of the creating context so spans and
         # trace scopes opened by dispatch land in the owning registry.
         context = contextvars.copy_context()
@@ -239,15 +270,17 @@ class WindowBatcher:
                     self._wakeup.wait()
                 if self._closed and not self._depth_locked():
                     return
-                # A window is open: wait out the coalescing budget unless
-                # the size bound trips first.
+                # A window is open.  An idle shard takes it at once; a busy
+                # one coalesces until it settles, the size bound trips or
+                # the wait cap runs out.
                 deadline = time.monotonic() + self.max_wait_seconds
-                while self._depth_locked() < self.max_batch and not self._closed:
+                while self._in_flight and self._depth_locked() < self.max_batch and not self._closed:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._wakeup.wait(remaining)
                 batch = self._take_window_locked()
+                self._in_flight += len(batch)
                 tele.gauge(f"{self.name}_queue_depth").set(self._depth_locked())
             if not batch:  # pragma: no cover — only on close races
                 continue
@@ -255,12 +288,21 @@ class WindowBatcher:
             tele.histogram(f"{self.name}_window_size", buckets=(1, 2, 4, 8, 16, 32, 64)).observe(
                 len(batch)
             )
+            for _, pending in batch:
+                pending.add_done_callback(self._settled)
             try:
                 self.dispatch(batch)
             except BaseException as exc:  # noqa: BLE001 — every pending must settle
                 for _, pending in batch:
                     if not pending.done:
                         pending.fail(exc)
+
+    def _settled(self, _pending: PendingResult) -> None:
+        """Done-callback of every dispatched pending: release its gate slot."""
+        with self._lock:
+            self._in_flight -= 1
+            if not self._in_flight:
+                self._wakeup.notify()
 
     def close(self, *, drain: bool = True) -> None:
         """Stop the batcher; ``drain=True`` dispatches queued items first."""

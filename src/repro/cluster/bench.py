@@ -18,8 +18,10 @@ p50/p90/p99 latency and error mix.  The cluster run additionally reports
 per-shard energy spend and the :func:`~repro.cluster.ledger.audit_cluster`
 certificate that the shards' journalled spends sum within the global
 budget.  Results are written to ``benchmarks/BENCH_serve.json``
-alongside ``cpu_count`` — a 4-shard cluster on one core *cannot* show a
-4× speedup, and the artifact must let a reader see that.
+alongside ``cpu_count`` — the CPUs the run may use (its affinity mask,
+so a ``taskset -c 0`` run reports 1) — because a 4-shard cluster on one
+core *cannot* show a 4× speedup, and the artifact must let a reader see
+that.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .frontend import ClusterConfig, ClusterManager
 from .ledger import audit_cluster
 from .solve_service import SolveService, SolveServiceConfig
 
-__all__ = ["LoadStats", "run_load", "bench_serve"]
+__all__ = ["LoadStats", "run_load", "bench_serve", "usable_cpu_count"]
 
 
 class LoadStats:
@@ -150,6 +152,19 @@ def run_load(
     return LoadStats(latencies, statuses, elapsed)
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one.
+
+    ``os.cpu_count()`` counts the machine's CPUs even when the process is
+    pinned to fewer (``taskset``, cgroup cpusets), which overstates what
+    a pinned benchmark run could use.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return len(getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _make_instance_doc(n: int, m: int, beta: float, seed: int) -> Dict[str, Any]:
     from ..hardware.sampling import sample_uniform_cluster
     from ..workloads.generator import TaskGenConfig, generate_instance
@@ -182,7 +197,7 @@ def bench_serve(
     instance_doc = _make_instance_doc(n_tasks, n_machines, beta, seed)
     report: Dict[str, Any] = {
         "benchmark": "cluster-serve",
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpu_count(),
         "note": (
             "speedup is bounded by cpu_count: N solver processes cannot beat one "
             "process on a single core, they only add IPC overhead there"

@@ -63,9 +63,17 @@ __all__ = ["ClusterConfig", "ClusterManager", "make_cluster_server", "serve_clus
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Buckets shared by the per-request front-end delay histograms (seconds).
+_DELAY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+
 
 class ClusterConfig:
-    """Knobs of a cluster: topology, batching, budget and resilience."""
+    """Knobs of a cluster: topology, batching, budget and resilience.
+
+    Batching is work-conserving: a request reaches an idle shard at once.
+    ``max_batch`` bounds a window, and ``max_wait_seconds`` caps how long
+    a request waits for one while its shard still has a window in flight.
+    """
 
     def __init__(
         self,
@@ -678,6 +686,12 @@ class ClusterManager:
 
     def _send_window(self, handle: _ShardHandle, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> None:
         """Batcher dispatch: reserve the grant and ship the window."""
+        now = time.monotonic()
+        waited = self.telemetry.histogram(
+            "frontend_batcher_wait_seconds", buckets=_DELAY_BUCKETS, shard=handle.shard
+        )
+        for item, _ in batch:
+            waited.observe(max(now - float(item.get("_enqueued", now)), 0.0))
         if not handle.alive:
             for item, pending in batch:
                 pending.resolve(_shed_doc(f"shard {handle.shard} is down", 2.0, item.get("trace_id")))
@@ -763,8 +777,7 @@ class ClusterManager:
                 tid = item.get("trace_id")
                 with trace_scope(tid) if tid else contextlib.nullcontext():
                     self.telemetry.histogram(
-                        "frontend_queue_delay_seconds",
-                        buckets=(0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0),
+                        "frontend_queue_delay_seconds", buckets=_DELAY_BUCKETS
                     ).observe(sojourn)
             if index < len(elapsed):
                 state.signal.observe_service(float(elapsed[index]))
@@ -1214,8 +1227,8 @@ def serve_cluster(
     budget = "unbounded" if cfg.budget is None else f"{cfg.budget:.1f} J"
     print(f"repro cluster front-end on http://{host}:{server.server_address[1]}")
     print(
-        f"topology: {cfg.shards} shard worker(s), windows <= {cfg.max_batch} requests / "
-        f"{cfg.max_wait_seconds * 1000:.0f} ms, energy budget {budget}"
+        f"topology: {cfg.shards} shard worker(s), windows <= {cfg.max_batch} requests, "
+        f"<= {cfg.max_wait_seconds * 1000:.0f} ms wait behind a busy shard, energy budget {budget}"
     )
     if cfg.journal_root is not None:
         print(f"durability: per-shard journals under {cfg.journal_root}")

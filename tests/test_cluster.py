@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pty
+import queue
 import re
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from repro.cluster import (
     make_cluster_server,
     solve_payload,
 )
-from repro.cluster.bench import LoadStats, run_load
+from repro.cluster.bench import LoadStats, run_load, usable_cpu_count
 from repro.core.serialization import instance_to_dict
 from repro.durability import read_events
 from repro.observe.tracing import trace_spans
@@ -199,6 +200,182 @@ def test_pending_result_timeout():
     assert not pending.done
 
 
+def test_pending_done_callback_runs_once_outside_the_lock():
+    pending = PendingResult()
+    calls = []
+
+    def callback(p):
+        # Runs after the settle, with the pending's lock free.
+        unlocked = p._lock.acquire(blocking=False)
+        try:
+            calls.append((p, p.done, unlocked))
+        finally:
+            if unlocked:
+                p._lock.release()
+
+    pending.add_done_callback(callback)
+    assert calls == []
+    assert pending.resolve("won") is True
+    assert pending.resolve("late") is False
+    assert pending.fail(RuntimeError("later")) is False
+    assert calls == [(pending, True, True)]
+    late = []
+    pending.add_done_callback(late.append)  # already settled: runs at once
+    assert late == [pending]
+    assert len(calls) == 1
+
+
+def test_pending_done_callback_runs_on_fail():
+    pending = PendingResult()
+    calls = []
+    pending.add_done_callback(calls.append)
+    assert pending.fail(RuntimeError("boom")) is True
+    assert pending.resolve("late") is False
+    assert calls == [pending]
+
+
+def _recording_batcher(max_wait_seconds=30.0, settle=False, **kwargs):
+    """A batcher whose dispatched windows land on a queue, settled or not."""
+    windows = queue.Queue()
+
+    def dispatch(batch):
+        if settle:
+            for item, pending in batch:
+                pending.resolve(item)
+        windows.put(batch)
+
+    kwargs.setdefault("max_batch", 8)
+    return WindowBatcher(dispatch, max_wait_seconds=max_wait_seconds, **kwargs), windows
+
+
+def _wait_until_parked(batcher, timeout=30.0):
+    """Block until the batcher's loop waits on its condition variable.
+
+    CPython's ``threading.Condition`` lists its sleeping threads in
+    ``_waiters``; ``notify`` removes them, so a non-empty list seen under
+    the lock means the loop re-checked its predicates and chose to wait.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with batcher._lock:
+            if batcher._wakeup._waiters:
+                return
+        time.sleep(0.001)
+    raise AssertionError("batcher loop never parked")
+
+
+def test_batcher_idle_shard_dispatches_a_lone_submit_at_once():
+    batcher, windows = _recording_batcher(settle=True)
+    try:
+        pending = batcher.submit("lonely")
+        # The 30 s timer is only a cap while the shard is busy.
+        assert pending.wait(5.0) == "lonely"
+        assert [item for item, _ in windows.get(timeout=5.0)] == ["lonely"]
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_coalesces_arrivals_while_a_window_is_in_flight():
+    batcher, windows = _recording_batcher()
+    try:
+        batcher.submit("first")
+        first = windows.get(timeout=5.0)
+        for item in ("a", "b", "c"):
+            batcher.submit(item)
+        _wait_until_parked(batcher)
+        assert batcher.depth == 3  # held behind the unsettled window
+        first[0][1].resolve("done")  # the settle alone must wake the loop
+        second = windows.get(timeout=5.0)
+        assert [item for item, _ in second] == ["a", "b", "c"]
+        assert batcher.depth == 0
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_wait_cap_releases_the_next_window_behind_a_stuck_one():
+    batcher, windows = _recording_batcher(max_wait_seconds=0.05)
+    try:
+        batcher.submit("never settled")
+        windows.get(timeout=5.0)
+        batcher.submit("next")
+        assert [item for item, _ in windows.get(timeout=5.0)] == ["next"]
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_gate_frees_when_dispatch_raises():
+    calls = []
+
+    def dispatch(batch):
+        calls.append(len(batch))
+        if len(calls) == 1:
+            raise RuntimeError("send failed")
+        for item, pending in batch:
+            pending.resolve(item)
+
+    batcher = WindowBatcher(dispatch, max_batch=8, max_wait_seconds=30.0)
+    try:
+        with pytest.raises(RuntimeError, match="send failed"):
+            batcher.submit("x").wait(5.0)
+        assert batcher.submit("y").wait(5.0) == "y"
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_gate_frees_when_dispatch_sheds_the_whole_window():
+    batcher, _ = _recording_batcher(settle=True)
+    try:
+        assert batcher.submit("shed").wait(5.0) == "shed"
+        assert batcher.submit("next").wait(5.0) == "next"
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_gate_frees_when_a_hedge_settles_the_pending_elsewhere():
+    batcher, windows = _recording_batcher()
+    try:
+        shared = batcher.submit("primary")
+        windows.get(timeout=5.0)
+        _wait_until_parked(batcher)
+        shared.resolve("winner from the other shard")
+        batcher.submit("next")
+        assert [item for item, _ in windows.get(timeout=5.0)] == ["next"]
+    finally:
+        batcher.close(drain=False)
+
+
+def test_batcher_gate_does_not_leak_under_concurrent_settles():
+    settles = queue.Queue()
+
+    def dispatch(batch):
+        settles.put(batch)
+
+    def settler():
+        while True:
+            batch = settles.get()
+            if batch is None:
+                return
+            for item, pending in batch:
+                pending.resolve(item)
+
+    threads = [threading.Thread(target=settler) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    batcher = WindowBatcher(dispatch, max_batch=4, max_wait_seconds=30.0)
+    try:
+        pendings = [batcher.submit(i) for i in range(200)]
+        assert sorted(p.wait(30.0) for p in pendings) == list(range(200))
+    finally:
+        # Done-callbacks run on the settling threads: join them before
+        # reading the gate.
+        for _ in threads:
+            settles.put(None)
+        for thread in threads:
+            thread.join(timeout=30.0)
+        batcher.close(drain=False)
+    assert batcher._in_flight == 0
+
+
 # -- solve service (the path shared with repro.server) --------------------------
 
 
@@ -287,14 +464,27 @@ def test_cluster_health_and_schedulers(cluster_env):
     assert status == 200 and "approx" in json.loads(body)["schedulers"]
 
 
+def _series_counts(text, name):
+    """``{shard: count}`` of one shard-labelled histogram in Prometheus text."""
+    pattern = re.compile(rf'^{name}_count{{shard="([^"]+)"}} (\d+)$', re.MULTILINE)
+    return {shard: int(count) for shard, count in pattern.findall(text)}
+
+
 def test_cluster_metrics_aggregate_with_shard_labels(cluster_env):
     _, base, doc, _ = cluster_env
-    _post_solve(base, doc)
+    _, body = _get(base, "/metrics")
+    before = sum(_series_counts(body.decode(), "frontend_batcher_wait_seconds").values())
+    statuses = [_post_solve(base, doc)[0] for _ in range(3)]
+    assert statuses == [200, 200, 200]
     status, body = _get(base, "/metrics")
     assert status == 200
     text = body.decode()
     assert "frontend_requests_total" in text
     assert 'shard="shard-00"' in text or 'shard="shard-01"' in text
+    # Every served request observed its batcher wait once, on its shard.
+    waits = _series_counts(text, "frontend_batcher_wait_seconds")
+    assert set(waits) <= {"shard-00", "shard-01"} and waits
+    assert sum(waits.values()) - before == 3
 
 
 def test_cluster_rejects_garbage(cluster_env):
@@ -484,3 +674,17 @@ def test_load_stats_percentiles():
     assert stats["by_status"] == {"200": 9, "503": 1}
     assert stats["latency_s"]["p50"] == pytest.approx(0.6)
     assert stats["latency_s"]["p99"] == pytest.approx(1.0)
+
+
+def test_usable_cpu_count_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cpu_count() == 1  # a ``taskset -c 0`` run, on an 8-CPU machine
+
+
+def test_usable_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cpu_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpu_count() == 1

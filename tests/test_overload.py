@@ -294,10 +294,20 @@ def test_brownout_reports_transitions_to_its_owner():
 
 
 def quiet_batcher(**kwargs):
-    """A batcher whose loop will not form a window during the test body."""
+    """A batcher whose loop will not form a window during the test body.
+
+    The batcher is work-conserving, so an idle loop would take the first
+    submit at once.  One sentinel window is dispatched first and never
+    settled: with it in flight, later arrivals coalesce behind the 30 s
+    wait cap, and the test body sees them queued.
+    """
     kwargs.setdefault("max_batch", 64)
     kwargs.setdefault("max_wait_seconds", 30.0)
-    return WindowBatcher(lambda batch: None, **kwargs)
+    dispatched = threading.Event()
+    b = WindowBatcher(lambda batch: dispatched.set(), **kwargs)
+    b.submit("sentinel")
+    assert dispatched.wait(30.0)
+    return b
 
 
 def test_batcher_weighted_dequeue_favors_interactive_without_starvation():
