@@ -5,6 +5,7 @@ representative size, so performance regressions in the algorithms are
 caught independently of the figure-level sweeps.
 """
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -15,8 +16,9 @@ from repro.algorithms import (
 )
 from repro.algorithms.single_machine import solve_single_machine
 from repro.core.segments import build_segment_list
+from repro.core.serialization import instance_from_dict, instance_to_dict
 from repro.exact import solve_lp_relaxation
-from repro.workloads import runtime_instance
+from repro.workloads import runtime_instance, tasks_from_thetas
 
 N, M = 100, 5
 
@@ -56,3 +58,18 @@ def test_bench_round_fractional(benchmark, instance):
 
 def test_bench_lp_relaxation(benchmark, instance):
     benchmark(lambda: solve_lp_relaxation(instance))
+
+
+def test_bench_tasks_from_thetas(benchmark):
+    # One online window's task build: 120 requests, θ and deadlines as
+    # the rolling-horizon planner passes them.
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0.1, 2.0, 120).tolist()
+    deadlines = rng.uniform(0.05, 2.0, 120).tolist()
+    benchmark(lambda: tasks_from_thetas(thetas, deadlines))
+
+
+def test_bench_instance_from_dict(benchmark):
+    # A /solve request body at the solve-large workload's upper size.
+    document = instance_to_dict(runtime_instance(140, M, seed=7))
+    benchmark(lambda: instance_from_dict(document))

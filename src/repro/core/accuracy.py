@@ -28,13 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from ..utils.errors import ValidationError
-from ..utils.validation import check_fraction, check_positive, check_sorted, require
+from ..utils.validation import check_fraction, check_positive, require
 
 __all__ = [
     "AccuracyFunction",
     "PiecewiseLinearAccuracy",
     "ExponentialAccuracy",
     "fit_piecewise",
+    "fit_exponential_rows",
+    "validate_rows",
     "SLOPE_TOLERANCE",
 ]
 
@@ -92,6 +94,49 @@ class _Segment:
         return self.slope * self.total_flops
 
 
+def _check_rows(ok: np.ndarray, message: str, values: np.ndarray, shown: np.ndarray) -> None:
+    """Raise for the first row in which ``ok`` is false anywhere."""
+    bad = ~ok if ok.ndim == 1 else ~ok.all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValidationError(f"{message}, got {values[j][shown[j]].tolist()} (row {j})")
+
+
+def validate_rows(breakpoints: np.ndarray, accuracies: np.ndarray, n_segments: np.ndarray) -> np.ndarray:
+    """Validate padded rows of concave piecewise-linear accuracy functions.
+
+    Row ``j`` of the ``(n, K+1)`` matrices holds the ``n_segments[j] + 1``
+    points of one function; entries past them are padding and are not
+    checked.  Every row must be what :class:`PiecewiseLinearAccuracy`
+    accepts: a first breakpoint of 0, finite and strictly increasing
+    breakpoints, accuracies in ``[0, 1]`` that never decrease, and slopes
+    that never increase by more than :data:`SLOPE_TOLERANCE` times the
+    row's largest slope.  Raises :class:`ValidationError` naming the first
+    offending row; returns the ``(n, K)`` slopes, 0 past each row's last
+    piece.
+    """
+    p, a = breakpoints, accuracies
+    points = np.arange(p.shape[1])[None, :] <= n_segments[:, None]
+    pieces = points[:, 1:]
+    _check_rows(p[:, 0] == 0.0, "first breakpoint must be 0", p, points)
+    _check_rows(np.isfinite(p) | ~points, "breakpoints must be finite", p, points)
+    with np.errstate(invalid="ignore"):  # inf − inf in the padding only
+        dp = p[:, 1:] - p[:, :-1]
+        da = a[:, 1:] - a[:, :-1]
+    _check_rows((dp > 0.0) | ~pieces, "breakpoints must be strictly increasing", p, points)
+    _check_rows((a >= 0.0) & (a <= 1.0) | ~points, "accuracies must lie in [0, 1]", a, points)
+    _check_rows((da >= 0.0) | ~pieces, "accuracies must be non-decreasing", a, points)
+    slopes = np.zeros(dp.shape)
+    slopes[pieces] = da[pieces] / dp[pieces]
+    # Concavity, up to floating tolerance scaled by the row's largest
+    # slope.  Real slopes are >= 0 and the padding is 0, so a row's last
+    # piece followed by padding never reads as a rise.
+    scale = np.maximum(np.abs(slopes).max(axis=1), 1e-300)
+    rises = slopes[:, 1:] - slopes[:, :-1]
+    _check_rows(rises <= SLOPE_TOLERANCE * scale[:, None], "accuracy function must be concave; slopes", slopes, pieces)
+    return slopes
+
+
 class PiecewiseLinearAccuracy(AccuracyFunction):
     """Concave, non-decreasing piecewise-linear accuracy function.
 
@@ -116,20 +161,17 @@ class PiecewiseLinearAccuracy(AccuracyFunction):
                 f"got shapes {p.shape} and {a.shape}"
             )
         require(p.size >= 2, "need at least two breakpoints (one segment)")
-        require(p[0] == 0.0, f"first breakpoint must be 0, got {p[0]!r}")
-        check_sorted(p, "breakpoints", strict=True)
-        for ai in a:
-            check_fraction(float(ai), "accuracy value")
-        check_sorted(a, "accuracies")
-        slopes = np.diff(a) / np.diff(p)
-        # Concavity: slopes non-increasing, up to floating tolerance scaled
-        # by the largest slope in the function.
-        scale = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-        if np.any(np.diff(slopes) > SLOPE_TOLERANCE * max(scale, 1e-300)):
-            raise ValidationError(f"accuracy function must be concave; got slopes {slopes.tolist()}")
+        slopes = validate_rows(p[None, :], a[None, :], np.array([p.size - 1]))
         self._p = p
         self._a = a
-        self._slopes = slopes
+        self._slopes = slopes[0]
+
+    @classmethod
+    def _trusted(cls, p: np.ndarray, a: np.ndarray, slopes: np.ndarray) -> "PiecewiseLinearAccuracy":
+        """Wrap one row that :func:`validate_rows` already accepted."""
+        acc = cls.__new__(cls)
+        acc._p, acc._a, acc._slopes = p, a, slopes
+        return acc
 
     # -- constructors -----------------------------------------------------
 
@@ -308,7 +350,8 @@ class ExponentialAccuracy(AccuracyFunction):
     slope of the first fitted segment approaches θ as the fit refines).
 
     The curve only reaches ``a_max`` asymptotically; ``f_max`` is defined
-    as the work covering a ``coverage`` fraction of Δ (default 99.9 %),
+    as the work covering a ``coverage`` fraction of Δ (default 0.99999,
+    i.e. 99.999 %, a long flat tail; DESIGN §3 item 8 explains why),
     mirroring how a finite largest OFA subnetwork realises ~a_max.
     """
 
@@ -510,3 +553,46 @@ def fit_piecewise(
     a = a * (curve.a_max / a[-1]) if a[-1] > 0 else a
     a[0] = curve.a_min
     return PiecewiseLinearAccuracy(p, np.minimum(a, 1.0))
+
+
+def fit_exponential_rows(
+    theta: np.ndarray,
+    n_segments: int = 5,
+    *,
+    a_min: float = 0.001,
+    a_max: float = 0.82,
+    coverage: float = 0.99999,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fit_piecewise` (minimax spacing) of many exponential curves.
+
+    Curve ``j`` is ``ExponentialAccuracy(theta[j], a_min, a_max,
+    coverage)``; returns its fitted breakpoints and accuracies as row
+    ``j`` of two ``(n, n_segments + 1)`` matrices, equal bit for bit to
+    the per-curve fit: the same floating-point operations in the same
+    order, run once over the matrix.  The minimax breakpoints are
+    computed once per distinct normalised span ``θ·f_max/Δ``, which
+    rounds to a handful of values however many curves there are.
+    """
+    theta = np.asarray(theta, dtype=float)
+    bad = ~(np.isfinite(theta) & (theta > 0.0))
+    if bad.any():
+        raise ValidationError(f"theta must be finite and > 0, got {float(theta[int(np.argmax(bad))])!r}")
+    # Checks a_min, a_max and coverage as every curve's constructor would.
+    ExponentialAccuracy(1.0, a_min=a_min, a_max=a_max, coverage=coverage)
+    require(n_segments >= 1, f"n_segments must be >= 1, got {n_segments}")
+    a_min, a_max = float(a_min), float(a_max)
+    delta = a_max - a_min
+    # ExponentialAccuracy.f_max, then fit_piecewise's normalised span.
+    f_max = -delta * math.log1p(-coverage) / theta
+    x_total = theta * f_max / delta
+    distinct, which = np.unique(x_total, return_inverse=True)
+    templates = np.array([_minimax_breakpoints(float(x), n_segments) for x in distinct])
+    p = templates[which] * delta / theta[:, None]
+    p[:, 0], p[:, -1] = 0.0, f_max
+    # ExponentialAccuracy.value_array, then fit_piecewise's pinning.
+    f = np.clip(p, 0.0, f_max[:, None])
+    a = a_max - delta * np.exp(-theta[:, None] * f / delta)
+    top = a[:, -1]
+    a = np.where((top > 0)[:, None], a * (a_max / top)[:, None], a)
+    a[:, 0] = a_min
+    return p, np.minimum(a, 1.0)

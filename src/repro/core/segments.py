@@ -7,7 +7,9 @@ list as parallel arrays, already in Algorithm 1's processing order
 (non-increasing slope), next to every task's breakpoints and breakpoint
 accuracies padded into ``(n, K+1)`` matrices.
 
-The table depends only on the task set, so it is built once per
+Those matrices are the :class:`~repro.core.task.TaskSet`'s own state
+(validated once when the set was built); the table adds the segment
+order.  It depends only on the task set, so it is built once per
 instance: :attr:`repro.core.task.TaskSet.segment_table` calls
 :func:`build_segment_list` on first use and keeps the result for the
 task set's lifetime.  All arrays are read-only.
@@ -68,23 +70,15 @@ class SegmentTable:
     )
 
     def __init__(self, tasks: TaskSet) -> None:
-        funcs = [t.accuracy for t in tasks]
-        n = len(funcs)
-        counts = np.array([acc.n_segments for acc in funcs], dtype=np.int64)
-        k_max = int(counts.max())
-        # Scatter every function's points into row-major padded matrices.
-        points = np.arange(k_max + 1)[None, :] <= counts[:, None]
-        bp = np.full((n, k_max + 1), np.inf)
-        bp[points] = np.concatenate([acc.breakpoints for acc in funcs])
-        acc_at = np.repeat(np.array([acc.a_max for acc in funcs])[:, None], k_max + 1, axis=1)
-        acc_at[points] = np.concatenate([acc.breakpoint_accuracies for acc in funcs])
+        bp = tasks.breakpoints
+        counts = tasks.n_segments
+        slopes = tasks.slopes
+        n, k_max = slopes.shape
         with np.errstate(invalid="ignore"):  # inf - inf in the padding only
             # p_{k+1} − p_k: the same subtraction as the piece's
             # f_end − f_start, so widths match the accuracy function exactly.
             widths = bp[:, 1:] - bp[:, :-1]
         valid = np.arange(k_max)[None, :] < counts[:, None]
-        slopes = np.zeros((n, k_max))
-        slopes[valid] = np.concatenate([acc.slopes for acc in funcs])
         task = np.broadcast_to(np.arange(n)[:, None], valid.shape)[valid]
         position = np.broadcast_to(np.arange(k_max)[None, :], valid.shape)[valid]
         slope = slopes[valid]
@@ -95,11 +89,12 @@ class SegmentTable:
         self.position = _frozen(position[order])
         self.slope = _frozen(slope[order])
         self.width = _frozen(width[order])
-        self.breakpoints = _frozen(bp)
-        self.accuracies = _frozen(acc_at)
-        self.slopes = _frozen(slopes)
-        self.n_segments = _frozen(counts)
-        self.f_max = _frozen(bp[np.arange(n), counts])
+        # The task set's own read-only matrices, shared rather than copied.
+        self.breakpoints = bp
+        self.accuracies = tasks.breakpoint_accuracies
+        self.slopes = slopes
+        self.n_segments = counts
+        self.f_max = tasks.f_max
 
     @property
     def n_tasks(self) -> int:

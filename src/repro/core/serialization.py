@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -20,11 +21,11 @@ import numpy as np
 
 from ..utils.errors import ValidationError
 from ..utils.fileio import atomic_write
-from .accuracy import PiecewiseLinearAccuracy
+from ..utils.validation import require
 from .instance import ProblemInstance
 from .machine import Cluster, Machine
 from .schedule import Schedule
-from .task import Task, TaskSet
+from .task import TaskSet
 
 __all__ = [
     "FORMAT_VERSION",
@@ -41,17 +42,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-
-
-def _accuracy_to_dict(acc: PiecewiseLinearAccuracy) -> Dict[str, Any]:
-    return {
-        "breakpoints": acc.breakpoints.tolist(),
-        "accuracies": acc.breakpoint_accuracies.tolist(),
-    }
-
-
-def _accuracy_from_dict(data: Dict[str, Any]) -> PiecewiseLinearAccuracy:
-    return PiecewiseLinearAccuracy(data["breakpoints"], data["accuracies"])
 
 
 def cluster_to_dict(cluster: Cluster) -> list:
@@ -83,7 +73,8 @@ def cluster_from_dict(machines: list) -> Cluster:
 
 
 def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
-    """Serialise a problem instance to a JSON-ready dict."""
+    """Serialise a problem instance to a JSON-ready dict (from the task rows)."""
+    tasks = instance.tasks
     return {
         "format": "repro.instance",
         "version": FORMAT_VERSION,
@@ -91,13 +82,38 @@ def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
         "machines": cluster_to_dict(instance.cluster),
         "tasks": [
             {
-                "deadline": t.deadline,
-                "name": t.name,
-                "accuracy": _accuracy_to_dict(t.accuracy),
+                "deadline": deadline,
+                "name": name,
+                "accuracy": {"breakpoints": bp[: k + 1], "accuracies": acc[: k + 1]},
             }
-            for t in instance.tasks
+            for deadline, name, k, bp, acc in zip(
+                tasks.deadlines.tolist(),
+                tasks.names,
+                tasks.n_segments.tolist(),
+                tasks.breakpoints.tolist(),
+                tasks.breakpoint_accuracies.tolist(),
+            )
         ],
     }
+
+
+def _length(row: Any) -> int:
+    """A row's length; 0 for a non-sequence, which the checks then reject."""
+    try:
+        return len(row)
+    except TypeError:
+        return 0
+
+
+def _padded(rows: list, lengths: np.ndarray) -> np.ndarray:
+    """Stack ragged numeric rows into one matrix; the padding is ``+inf``."""
+    points = np.arange(int(lengths.max()))[None, :] < lengths[:, None]
+    out = np.full(points.shape, np.inf)
+    try:
+        out[points] = np.fromiter(chain.from_iterable(rows), dtype=float, count=int(lengths.sum()))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"accuracy rows must hold numbers: {exc}") from None
+    return out
 
 
 def _check_header(data: Dict[str, Any], expected: str) -> None:
@@ -110,18 +126,34 @@ def _check_header(data: Dict[str, Any], expected: str) -> None:
 
 
 def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
-    """Rebuild a problem instance from :func:`instance_to_dict` output."""
+    """Rebuild a problem instance from :func:`instance_to_dict` output.
+
+    The task rows are stacked into padded matrices (tasks may differ in
+    their number of pieces) and validated once by
+    :meth:`TaskSet.from_arrays`.
+    """
     _check_header(data, "repro.instance")
     cluster = cluster_from_dict(data["machines"])
-    tasks = TaskSet(
-        [
-            Task(
-                deadline=t["deadline"],
-                accuracy=_accuracy_from_dict(t["accuracy"]),
-                name=t.get("name"),
-            )
-            for t in data["tasks"]
-        ]
+    rows = data["tasks"]
+    bps = [t["accuracy"]["breakpoints"] for t in rows]
+    accs = [t["accuracy"]["accuracies"] for t in rows]
+    lengths = np.array([_length(b) for b in bps], dtype=np.int64)
+    require(lengths.size >= 1, "a task set needs at least one task")
+    require(
+        all(_length(a) == k for a, k in zip(accs, lengths.tolist())),
+        "every task needs as many accuracies as breakpoints",
+    )
+    require(int(lengths.min()) >= 2, "need at least two breakpoints (one segment)")
+    try:
+        deadlines = np.array([t["deadline"] for t in rows], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"deadlines must be numbers: {exc}") from None
+    tasks = TaskSet.from_arrays(
+        deadlines,
+        _padded(bps, lengths),
+        _padded(accs, lengths),
+        n_segments=lengths - 1,
+        names=[t.get("name") for t in rows],
     )
     budget = data["budget"]
     return ProblemInstance(tasks, cluster, math.inf if budget == "inf" else float(budget))

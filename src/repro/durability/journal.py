@@ -32,20 +32,33 @@ empty segment.
 
 fsync policy
 ------------
-``fsync="always"`` (default) syncs after every append — each committed
-record survives power loss.  ``"rotate"`` syncs only on rotation/close
-(group commit; a crash may lose the current segment's tail records but
-never corrupts earlier ones).  ``"never"`` leaves flushing to the OS —
-for tests and throwaway runs.
+``fsync="always"`` (default) syncs every commit: a record appended
+outside a group is durable when :meth:`JournalWriter.append` returns,
+and the records appended inside :meth:`JournalWriter.group` are durable
+when the group exits — one fsync for all of them.  ``"rotate"`` syncs
+only on rotation/close (a crash may lose the current segment's tail
+records but never corrupts earlier ones).  ``"never"`` leaves flushing
+to the OS — for tests and throwaway runs.
+
+A group writes exactly the bytes the same appends would write one by
+one, so a crash inside it leaves a record-boundary prefix after
+:func:`repair` — a disk state the per-record writer can produce too.
+Group only records that nothing acts on before the group exits.
+
+Every fsync of the writer is timed into the ``journal_sync_seconds``
+histogram and counted in ``journal_syncs_total``; records per sync is
+``journal_records_total / journal_syncs_total``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from ..telemetry import get_collector
 from ..utils.errors import JournalCorruptError, ValidationError
@@ -67,6 +80,9 @@ FSYNC_POLICIES = ("always", "rotate", "never")
 SEGMENT_PREFIX = "wal-"
 _HEADER_LEN = 18  # "xxxxxxxx xxxxxxxx "
 _HEX = frozenset(b"0123456789abcdef")
+
+#: Histogram buckets for one journal fsync (seconds).
+_SYNC_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 
 def encode_record(event: Dict[str, Any]) -> bytes:
@@ -214,6 +230,7 @@ class JournalWriter:
         self.directory = Path(directory)
         self.fsync_policy = fsync
         self.segment_max_bytes = int(segment_max_bytes)
+        self._grouped = False
         self.directory.mkdir(parents=True, exist_ok=True)
         repair(self.directory)
         segments = journal_segments(self.directory)
@@ -237,14 +254,18 @@ class JournalWriter:
         return _segment_path(self.directory, self._segment_index)
 
     def append(self, event: Dict[str, Any]) -> int:
-        """Append one event; returns its absolute record index."""
+        """Append one event; returns its absolute record index.
+
+        Outside a :meth:`group`, the record is flushed (and, under
+        ``fsync="always"``, synced) before this returns; inside one, both
+        wait for the group to exit.
+        """
         if self._fh.closed:
             raise ValidationError("journal writer is closed")
         record = encode_record(event)
         self._fh.write(record)
-        self._fh.flush()
-        if self.fsync_policy == "always":
-            os.fsync(self._fh.fileno())
+        if not self._grouped:
+            self._commit()
         index = self._record_count
         self._record_count += 1
         get_collector().counter("journal_records_total").inc()
@@ -252,11 +273,43 @@ class JournalWriter:
             self.rotate()
         return index
 
+    @contextmanager
+    def group(self) -> Iterator["JournalWriter"]:
+        """Commit every record appended inside the block at once.
+
+        Inside the group, :meth:`append` writes its framed record (the
+        record count and rotation are unchanged) but defers the flush
+        and fsync.  Leaving the group, normally or through an exception,
+        flushes; under ``fsync="always"`` it also syncs, once.  Groups
+        cannot be nested.
+        """
+        if self._grouped:
+            raise ValidationError("journal groups cannot be nested")
+        self._grouped = True
+        try:
+            yield self
+        finally:
+            self._grouped = False
+            if not self._fh.closed:
+                self._commit()
+
+    def _commit(self) -> None:
+        self._fh.flush()
+        if self.fsync_policy == "always":
+            self._fsync()
+
+    def _fsync(self) -> None:
+        start = time.perf_counter()
+        os.fsync(self._fh.fileno())
+        tele = get_collector()
+        tele.histogram("journal_sync_seconds", buckets=_SYNC_BUCKETS).observe(time.perf_counter() - start)
+        tele.counter("journal_syncs_total").inc()
+
     def sync(self) -> None:
         """Force the current segment to stable storage."""
         if not self._fh.closed:
             self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self._fsync()
 
     def rotate(self) -> Path:
         """Seal the current segment and start the next one atomically."""

@@ -17,6 +17,12 @@ off:
    :class:`~repro.resilience.degrade.DegradationPolicy` resumes at the
    right watermark instead of forgetting the spent budget.
 
+A window costs two journal commits.  Its ``arrival``, ``degrade`` and
+``window_plan`` records are one :meth:`JournalWriter.group
+<repro.durability.journal.JournalWriter.group>`, committed before the
+solve (nothing acts on them earlier); ``window_done`` is a lone append,
+committed before the window returns.
+
 Because planning is deterministic given the instance (all seeds flow
 through :mod:`repro.utils.rng` and every scheduler here is
 deterministic), a resumed run replays committed windows from the
@@ -298,17 +304,6 @@ class DurableRun:
     ):
         tele = get_collector()
         batch_ids = [ids[id(r)] for r in batch]
-        for rid, request in zip(batch_ids, batch):
-            journal.append(
-                {
-                    "type": "arrival",
-                    "id": rid,
-                    "t": request.arrival_time,
-                    "slo": request.slo_seconds,
-                    "theta": request.theta_per_tflop,
-                }
-            )
-
         deadlines = [max(r.deadline - start, 1e-3) for r in batch]
         thetas = [r.theta_per_tflop for r in batch]
         order = list(np.argsort(deadlines, kind="stable"))
@@ -322,10 +317,54 @@ class DurableRun:
         level = previous_level
         scale = 1.0
         kept = np.arange(len(batch))
-        zeros = [0.0] * len(batch)
-        if grant <= 0.0:
+        instance = None
+        # One commit for the pre-solve records: recovery acts on none of
+        # them, so they only need to be durable before the solve starts.
+        with journal.group():
+            for rid, request in zip(batch_ids, batch):
+                journal.append(
+                    {
+                        "type": "arrival",
+                        "id": rid,
+                        "t": request.arrival_time,
+                        "slo": request.slo_seconds,
+                        "theta": request.theta_per_tflop,
+                    }
+                )
+            if grant > 0.0:
+                instance = ProblemInstance(tasks, self.cluster, grant)
+                if self.degradation is not None:
+                    spent_fraction = cum_energy / self.energy_budget
+                    level = self.degradation.level_for(spent_fraction)
+                    if level != previous_level:
+                        journal.append(
+                            {
+                                "type": "degrade",
+                                "window": index,
+                                "level": level,
+                                "work_cap_scale": (
+                                    self.degradation.watermarks[level].work_cap_scale if level >= 0 else 1.0
+                                ),
+                            }
+                        )
+                    decision = self.degradation.apply(instance, spent_fraction)
+                    scale = decision.work_cap_scale
+                    instance, kept = decision.instance, decision.kept
+                journal.append(
+                    {
+                        "type": "window_plan",
+                        "window": index,
+                        "start": start,
+                        "ids": ordered_ids,
+                        "grant": grant,
+                        "level": level,
+                    }
+                )
+
+        if instance is None:
             # Budget exhausted: the window is shed whole, but still
             # committed so the ledger stays contiguous across restarts.
+            zeros = [0.0] * len(batch)
             done = {
                 "type": "window_done",
                 "window": index,
@@ -335,7 +374,7 @@ class DurableRun:
                 "deadlines": [deadlines[i] for i in order],
                 "flops": zeros,
                 "accuracies": zeros,
-                "caps": [float(t.f_max) for t in tasks],
+                "caps": tasks.f_max.tolist(),
                 "shed": ordered_ids,
                 "level": level,
                 "on_time": 0,
@@ -358,28 +397,6 @@ class DurableRun:
             )
             return done, window
 
-        instance = ProblemInstance(tasks, self.cluster, grant)
-        if self.degradation is not None:
-            spent_fraction = cum_energy / self.energy_budget
-            level = self.degradation.level_for(spent_fraction)
-            if level != previous_level:
-                journal.append(
-                    {
-                        "type": "degrade",
-                        "window": index,
-                        "level": level,
-                        "work_cap_scale": (
-                            self.degradation.watermarks[level].work_cap_scale if level >= 0 else 1.0
-                        ),
-                    }
-                )
-            decision = self.degradation.apply(instance, spent_fraction)
-            scale = decision.work_cap_scale
-            instance, kept = decision.instance, decision.kept
-
-        journal.append(
-            {"type": "window_plan", "window": index, "start": start, "ids": ordered_ids, "grant": grant, "level": level}
-        )
         with tele.span("durable.window.solve", window=str(index)):
             schedule = self.scheduler.solve(instance)
 
@@ -407,7 +424,7 @@ class DurableRun:
             "deadlines": [deadlines[i] for i in order],
             "flops": full_flops,
             "accuracies": full_acc,
-            "caps": [float(t.f_max) * scale for t in tasks],
+            "caps": (tasks.f_max * scale).tolist(),
             "shed": [ordered_ids[i] for i in range(len(batch)) if i not in planned],
             "level": level,
             "on_time": on_time,

@@ -19,10 +19,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ExponentialAccuracy, fit_piecewise
+from ..core.accuracy import ExponentialAccuracy, fit_exponential_rows
 from ..core.instance import ProblemInstance
 from ..core.machine import Cluster
-from ..core.task import Task, TaskSet
+from ..core.task import TaskSet
 from ..utils import units
 from ..utils.errors import ValidationError
 from ..utils.rng import SeedLike, ensure_rng
@@ -73,16 +73,22 @@ def tasks_from_thetas(
     n_segments: int = 5,
     coverage: float = 0.99999,
 ) -> TaskSet:
-    """Build a task set from explicit θ (per TFLOP) and deadline lists."""
-    thetas = list(thetas_per_tflop)
-    deadlines = list(deadlines)
-    if len(thetas) != len(deadlines):
+    """Build a task set from explicit θ (per TFLOP) and deadline lists.
+
+    Bit for bit the set of ``fit_piecewise(ExponentialAccuracy(θ_j))``
+    tasks, built as one ``(n, K+1)`` matrix
+    (:func:`~repro.core.accuracy.fit_exponential_rows`) and validated
+    once by :meth:`TaskSet.from_arrays`.
+    """
+    per_tflop = np.array(thetas_per_tflop, dtype=float)
+    deadlines = np.array(deadlines, dtype=float)
+    if per_tflop.ndim != 1 or per_tflop.shape != deadlines.shape:
         raise ValidationError("thetas and deadlines must have equal length")
-    tasks = []
-    for theta, d in zip(thetas, deadlines):
-        curve = ExponentialAccuracy(theta / units.TERA, a_min=a_min, a_max=a_max, coverage=coverage)
-        tasks.append(Task(deadline=d, accuracy=fit_piecewise(curve, n_segments)))
-    return TaskSet(tasks)
+    require(per_tflop.size >= 1, "a task set needs at least one task")
+    breakpoints, accuracies = fit_exponential_rows(
+        per_tflop / units.TERA, n_segments, a_min=a_min, a_max=a_max, coverage=coverage
+    )
+    return TaskSet.from_arrays(deadlines, breakpoints, accuracies)
 
 
 def generate_tasks(config: TaskGenConfig, cluster: Cluster, seed: SeedLike = None) -> TaskSet:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.accuracy import (
     ExponentialAccuracy,
     PiecewiseLinearAccuracy,
+    fit_exponential_rows,
     fit_piecewise,
 )
 from repro.utils.errors import ValidationError
@@ -280,6 +281,28 @@ def test_fit_minimax_beats_geometric_on_long_tail():
         pla = fit_piecewise(curve, 5, spacing=spacing)
         errors[spacing] = np.abs(pla.value_array(fs) - curve.value_array(fs)).max()
     assert errors["minimax"] < errors["geometric"] / 3
+
+
+@pytest.mark.parametrize(
+    "a_min, a_max, coverage, k",
+    [(0.001, 0.82, 0.99999, 5), (0.0, 1.0, 0.999, 3), (0.2, 0.3, 0.9, 1), (0.05, 0.95, 0.999999, 9)],
+)
+def test_fit_exponential_rows_matches_fit_piecewise_bit_for_bit(a_min, a_max, coverage, k):
+    theta = np.random.default_rng(k).uniform(0.01, 3.0, 40) * 1e-12
+    theta[::4] = theta[1]  # repeated curves share a template
+    p, a = fit_exponential_rows(theta, k, a_min=a_min, a_max=a_max, coverage=coverage)
+    for j, t in enumerate(theta):
+        pla = fit_piecewise(ExponentialAccuracy(t, a_min=a_min, a_max=a_max, coverage=coverage), k)
+        assert p[j].tobytes() == pla.breakpoints.tobytes()
+        assert a[j].tobytes() == pla.breakpoint_accuracies.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, -1e-12, float("nan"), float("inf")])
+def test_fit_exponential_rows_rejects_bad_theta(theta):
+    with pytest.raises(ValidationError):
+        ExponentialAccuracy(theta)
+    with pytest.raises(ValidationError):
+        fit_exponential_rows(np.array([1e-12, theta]))
 
 
 def test_fit_unknown_spacing_raises():

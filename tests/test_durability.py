@@ -1,14 +1,17 @@
 """Crash-safe journaling, snapshots, deterministic recovery, crash tests."""
 
 import json
+import os
 import threading
 import urllib.request
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import make_scheduler
 from repro.core import instance_to_dict
+from repro.durability import journal as journal_module
 from repro.durability import (
     CrashTestConfig,
     DurableRun,
@@ -28,6 +31,7 @@ from repro.hardware import sample_uniform_cluster
 from repro.online.planner import RollingHorizonPlanner
 from repro.resilience.degrade import DegradationPolicy
 from repro.simulator.online_sim import OnlineSimulation
+from repro.telemetry import MetricsRegistry, collector
 from repro.utils import atomic_write
 from repro.utils.errors import JournalCorruptError, RecoveryError, ValidationError
 from repro.workloads.arrivals import PoissonArrivals
@@ -141,6 +145,96 @@ class TestJournalWriter:
     def test_bad_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             JournalWriter(tmp_path, fsync="sometimes")
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Count the journal's fsync calls (they still reach the disk)."""
+    calls = []
+
+    def counting(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    real_fsync = os.fsync
+    monkeypatch.setattr(journal_module.os, "fsync", counting)
+    return calls
+
+
+class TestJournalGroup:
+    def test_group_commits_once(self, tmp_path, fsyncs):
+        with JournalWriter(tmp_path, fsync="always") as journal:
+            fsyncs.clear()  # opening syncs the new segment's directory entry
+            with journal.group():
+                for i in range(5):
+                    assert journal.append({"type": "a", "i": i}) == i
+                assert fsyncs == [] and journal.record_count == 5
+            assert len(fsyncs) == 1
+            journal.append({"type": "lone"})
+            assert len(fsyncs) == 2
+        assert [e.get("i") for e in read_events(tmp_path)] == [0, 1, 2, 3, 4, None]
+
+    def test_group_writes_the_same_bytes(self, tmp_path):
+        events = [{"type": "a", "i": i} for i in range(4)]
+        with JournalWriter(tmp_path / "one", fsync="always") as journal:
+            for event in events:
+                journal.append(event)
+        with JournalWriter(tmp_path / "group", fsync="always") as journal:
+            with journal.group():
+                for event in events:
+                    journal.append(event)
+        one, group = journal_segments(tmp_path / "one"), journal_segments(tmp_path / "group")
+        assert [p.read_bytes() for p in one] == [p.read_bytes() for p in group]
+
+    def test_exception_inside_group_still_commits(self, tmp_path, fsyncs):
+        with JournalWriter(tmp_path, fsync="always") as journal:
+            fsyncs.clear()
+            with pytest.raises(RuntimeError):
+                with journal.group():
+                    journal.append({"type": "a"})
+                    journal.append({"type": "b"})
+                    raise RuntimeError("solver blew up")
+            assert len(fsyncs) == 1
+            assert [e["type"] for e in read_events(tmp_path)] == ["a", "b"]
+            journal.append({"type": "c"})  # the writer stays usable
+            with journal.group():
+                journal.append({"type": "d"})
+            assert len(fsyncs) == 3
+        assert [e["type"] for e in read_events(tmp_path)] == ["a", "b", "c", "d"]
+
+    def test_nested_group_raises(self, tmp_path):
+        with JournalWriter(tmp_path, fsync="never") as journal:
+            with journal.group():
+                with pytest.raises(ValidationError, match="nested"):
+                    with journal.group():
+                        pass
+                journal.append({"type": "still-grouped"})
+            with journal.group():
+                journal.append({"type": "again"})
+        assert [e["type"] for e in read_events(tmp_path)] == ["still-grouped", "again"]
+
+    def test_rotation_inside_a_group(self, tmp_path):
+        with JournalWriter(tmp_path, fsync="always", segment_max_bytes=64) as journal:
+            with journal.group():
+                for i in range(6):
+                    journal.append({"type": "filler", "i": i})
+            assert journal.record_count == 6
+        assert len(journal_segments(tmp_path)) > 1
+        assert [e["i"] for e in read_events(tmp_path)] == list(range(6))
+
+    def test_sync_metrics(self, tmp_path):
+        registry = MetricsRegistry()
+        with collector(registry):
+            with JournalWriter(tmp_path, fsync="always") as journal:
+                with journal.group():
+                    journal.append({"type": "a"})
+                    journal.append({"type": "b"})
+                journal.append({"type": "c"})
+                journal.sync()
+        # group exit, the lone append, sync() and close()
+        assert registry.counter("journal_syncs_total").value == 4
+        assert registry.get("journal_sync_seconds").count == 4
+        assert registry.counter("journal_records_total").value == 3
 
 
 # -- snapshots -------------------------------------------------------------------
@@ -293,6 +387,90 @@ class TestDurableRun:
         report = planner.run_durable(requests, tmp_path, fsync="never")
         assert report.n_requests == len(requests)
         assert recover(tmp_path).meta["scheduler"] == make_scheduler("approx").name
+
+
+class TestDurableWindowCommits:
+    def one_window(self, n=14):
+        """A burst of ``n`` requests inside one 2 s window."""
+        requests = PoissonArrivals(40.0, seed=11).generate(2.0)[:n]
+        assert len(requests) == n
+        return requests
+
+    @pytest.mark.parametrize("degrade", [False, True])
+    def test_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs, degrade):
+        requests = self.one_window()
+        budget = 0.35 * 8.0 * cluster.total_power
+        run = DurableRun(
+            cluster,
+            make_scheduler("approx"),
+            tmp_path,
+            energy_budget=budget,
+            degradation=DegradationPolicy.default() if degrade else None,
+            fsync="always",
+        )
+        ids = {id(r): i for i, r in enumerate(requests)}
+        registry = MetricsRegistry()
+        with JournalWriter(tmp_path, fsync="always") as journal:
+            before = len(fsyncs)
+            # 80% of the budget spent crosses the first watermark, so the
+            # degrade record joins the window's group.
+            spent = 0.8 * budget if degrade else 0.0
+            with collector(registry):
+                _, window = run._plan_window(journal, 0, 0.0, requests, ids, spent, -1)
+            assert len(fsyncs) - before == 2
+            assert window.level == (0 if degrade else -1)
+        records = len(requests) + 2 + (1 if degrade else 0)
+        assert registry.counter("journal_syncs_total").value == 2
+        assert registry.get("journal_sync_seconds").count == 2
+        assert registry.counter("journal_records_total").value == records
+        kinds = [e["type"] for e in read_events(tmp_path)]
+        assert kinds == ["arrival"] * len(requests) + (["degrade"] if degrade else []) + [
+            "window_plan",
+            "window_done",
+        ]
+
+    def test_exhausted_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs):
+        requests = self.one_window()
+        budget = 1.0
+        run = DurableRun(cluster, make_scheduler("approx"), tmp_path, energy_budget=budget, fsync="always")
+        ids = {id(r): i for i, r in enumerate(requests)}
+        with JournalWriter(tmp_path, fsync="always") as journal:
+            before = len(fsyncs)
+            _, window = run._plan_window(journal, 0, 0.0, requests, ids, budget, -1)
+            assert len(fsyncs) - before == 2 and window.energy == 0.0
+        assert [e["type"] for e in read_events(tmp_path)] == ["arrival"] * len(requests) + ["window_done"]
+
+    def test_truncation_inside_a_grouped_window_recovers_the_committed_prefix(
+        self, cluster, requests, tmp_path
+    ):
+        budget = 0.35 * 8.0 * cluster.total_power
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
+        events, consumed = decode_stream(stream)
+        assert consumed == len(stream)
+        ends = np.cumsum([len(encode_record(e)) for e in events]).tolist()
+        # Window 1's group: from the end of window 0's commit to the end of
+        # window 1's plan.
+        kinds = [e["type"] for e in events]
+        first_done = kinds.index("window_done")
+        plan = next(i for i, e in enumerate(events) if e["type"] == "window_plan" and e["window"] == 1)
+        group_start, group_end = ends[first_done], ends[plan]
+        assert plan - first_done >= 3  # at least two arrivals and the plan
+        cut_dir = tmp_path / "cut"
+        cut_dir.mkdir()
+        segment = cut_dir / "wal-00000001.log"
+        for offset in range(group_start, group_end + 1):
+            segment.write_bytes(stream[:offset])
+            state = certify(recover(cut_dir), budget=budget)
+            assert state.next_window == 1
+            assert state.energy_spent == reference.windows[0].cum_energy
+        for offset in (group_start, (group_start + group_end) // 2, group_end):
+            resume_dir = tmp_path / f"resume-{offset}"
+            resume_dir.mkdir()
+            (resume_dir / "wal-00000001.log").write_bytes(stream[:offset])
+            resumed = make_durable(cluster, resume_dir, budget=budget, degrade=True).run(requests)
+            assert resumed.same_outcome(reference)
+            assert resumed.replayed_windows == 1
 
 
 # -- the online simulator's journal ----------------------------------------------

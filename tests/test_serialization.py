@@ -8,7 +8,12 @@ import pytest
 
 from repro.algorithms import ApproxScheduler
 from repro.core import (
+    ExponentialAccuracy,
+    PiecewiseLinearAccuracy,
     ProblemInstance,
+    Task,
+    TaskSet,
+    fit_piecewise,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -18,9 +23,44 @@ from repro.core import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.core.segments import SegmentTable
+from repro.utils import units
 from repro.utils.errors import ValidationError
 
-from conftest import make_instance
+from conftest import make_cluster, make_instance
+
+
+def reference_from_dict(data):
+    """The per-task path instance_from_dict replaced: one validated Task each."""
+    return TaskSet(
+        [
+            Task(
+                deadline=t["deadline"],
+                accuracy=PiecewiseLinearAccuracy(t["accuracy"]["breakpoints"], t["accuracy"]["accuracies"]),
+                name=t.get("name"),
+            )
+            for t in data["tasks"]
+        ]
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_k_instance(n, seed):
+    """Tasks whose accuracy functions have 1..7 pieces, some deadlines tied."""
+    rng = np.random.default_rng(seed)
+    tasks = [
+        Task(
+            deadline=float(np.round(rng.uniform(0.1, 3.0), 1)),
+            accuracy=fit_piecewise(ExponentialAccuracy(float(rng.uniform(0.1, 2.0)) / units.TERA), int(k)),
+            name=f"t{j}" if j % 3 else None,
+        )
+        for j, k in enumerate(rng.integers(1, 8, n))
+    ]
+    return ProblemInstance(TaskSet(tasks), make_cluster(2, seed=seed), 1e4)
 
 
 class TestInstanceRoundtrip:
@@ -73,6 +113,81 @@ class TestInstanceRoundtrip:
         inst = make_instance(n=2, m=1, seed=123)
         data = instance_to_dict(inst)
         data["version"] = 99
+        with pytest.raises(ValidationError):
+            instance_from_dict(data)
+
+
+class TestArrayBuild:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (5, 1), (40, 2), (140, 3)])
+    def test_mixed_k_matches_per_task_path_bit_for_bit(self, n, seed):
+        data = json.loads(json.dumps(instance_to_dict(mixed_k_instance(n, seed))))
+        built, reference = instance_from_dict(data).tasks, reference_from_dict(data)
+        assert same_bits(built.deadlines, reference.deadlines)
+        for a, b in zip(built, reference):
+            assert a.deadline == b.deadline and a.name == b.name
+            assert same_bits(a.accuracy.breakpoints, b.accuracy.breakpoints)
+            assert same_bits(a.accuracy.breakpoint_accuracies, b.accuracy.breakpoint_accuracies)
+            assert same_bits(a.accuracy.slopes, b.accuracy.slopes)
+        for name in SegmentTable.__slots__:
+            assert same_bits(getattr(built.segment_table, name), getattr(reference.segment_table, name)), name
+
+    def test_to_dict_reads_the_rows(self):
+        inst = mixed_k_instance(12, seed=5)
+        per_task = [
+            {
+                "deadline": t.deadline,
+                "name": t.name,
+                "accuracy": {
+                    "breakpoints": t.accuracy.breakpoints.tolist(),
+                    "accuracies": t.accuracy.breakpoint_accuracies.tolist(),
+                },
+            }
+            for t in inst.tasks
+        ]
+        assert instance_to_dict(inst)["tasks"] == per_task
+        clone = instance_from_dict(instance_to_dict(inst))
+        assert instance_to_dict(clone)["tasks"] == per_task
+        assert clone.tasks._tasks is None  # no Task objects were built
+
+    def test_mixed_k_round_trip_is_bit_faithful(self):
+        inst = mixed_k_instance(30, seed=4)
+        data = instance_to_dict(inst)
+        assert instance_to_dict(instance_from_dict(json.loads(json.dumps(data)))) == data
+
+    @pytest.mark.parametrize(
+        "breakpoints, accuracies",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 0.1, 0.5]),  # not concave
+            ([0.0, 2.0, 1.0], [0.0, 0.3, 0.5]),  # breakpoints unsorted
+            ([0.0, 1.0, 1.0], [0.0, 0.3, 0.5]),  # breakpoints repeated
+            ([1.0, 2.0], [0.0, 0.5]),  # first breakpoint not 0
+            ([0.0, 1.0], [0.0, 1.5]),  # accuracy above 1
+            ([0.0, 1.0, 2.0], [0.0, 0.5, 0.4]),  # accuracy decreasing
+            ([0.0, 1.0], [0.0, float("nan")]),  # accuracy not a number
+            ([0.0, 1.0], [0.0, 0.5, 0.6]),  # length mismatch
+            ([0.0], [0.5]),  # a single point
+        ],
+    )
+    def test_rejects_what_the_per_task_path_rejected(self, breakpoints, accuracies):
+        data = instance_to_dict(make_instance(n=4, m=2, seed=130))
+        data["tasks"][2]["accuracy"] = {"breakpoints": breakpoints, "accuracies": accuracies}
+        with pytest.raises(ValidationError):
+            reference_from_dict(data)
+        with pytest.raises(ValidationError):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_deadlines(self, deadline):
+        data = instance_to_dict(make_instance(n=3, m=2, seed=131))
+        data["tasks"][1]["deadline"] = deadline
+        with pytest.raises(ValidationError):
+            reference_from_dict(data)
+        with pytest.raises(ValidationError):
+            instance_from_dict(data)
+
+    def test_rejects_empty_task_list(self):
+        data = instance_to_dict(make_instance(n=2, m=1, seed=132))
+        data["tasks"] = []
         with pytest.raises(ValidationError):
             instance_from_dict(data)
 

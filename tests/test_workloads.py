@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ExponentialAccuracy, Task, TaskSet, fit_piecewise
+from repro.core.segments import SegmentTable
 from repro.hardware import sample_uniform_cluster
 from repro.utils import units
 from repro.utils.errors import ValidationError
@@ -76,6 +78,8 @@ class TestGenerator:
     def test_tasks_from_thetas_mismatch(self):
         with pytest.raises(ValidationError):
             tasks_from_thetas([0.1, 0.2], [1.0])
+        with pytest.raises(ValidationError):
+            tasks_from_thetas([0.1], [1.0, 2.0])
 
     def test_generate_instance_beta(self, cluster):
         inst = generate_instance(TaskGenConfig(n=5), cluster, beta=0.37, seed=7)
@@ -89,6 +93,97 @@ class TestGenerator:
         assert len(tasks) == n
         assert np.all(np.diff(tasks.deadlines) >= 0)
         assert np.all(tasks.deadlines > 0)
+
+
+def reference_task_set(thetas, deadlines, n_segments=5):
+    """The per-task build tasks_from_thetas replaced: fit_piecewise → Task → TaskSet."""
+    return TaskSet(
+        [
+            Task(deadline=d, accuracy=fit_piecewise(ExponentialAccuracy(theta / units.TERA), n_segments))
+            for theta, d in zip(thetas, deadlines)
+        ]
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_task_sets(built, reference):
+    """Bit-for-bit equal rows, Task objects and segment tables."""
+    assert len(built) == len(reference)
+    assert same_bits(built.deadlines, reference.deadlines)
+    assert same_bits(built.f_max, reference.f_max)
+    for a, b in zip(built, reference):
+        assert a.deadline == b.deadline and a.name == b.name
+        assert same_bits(a.accuracy.breakpoints, b.accuracy.breakpoints)
+        assert same_bits(a.accuracy.breakpoint_accuracies, b.accuracy.breakpoint_accuracies)
+        assert same_bits(a.accuracy.slopes, b.accuracy.slopes)
+    for name in SegmentTable.__slots__:
+        assert same_bits(getattr(built.segment_table, name), getattr(reference.segment_table, name)), name
+
+
+class TestTasksFromThetasArrays:
+    @pytest.mark.parametrize("n", [1, 4, 12, 77, 120, 160])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_task_fit_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.uniform(0.05, 3.0, n).tolist()
+        deadlines = rng.uniform(0.01, 2.0, n).tolist()
+        assert_same_task_sets(tasks_from_thetas(thetas, deadlines), reference_task_set(thetas, deadlines))
+
+    @pytest.mark.parametrize("n", [12, 77, 160])
+    def test_repeated_thetas_and_tied_deadlines(self, n):
+        rng = np.random.default_rng(n)
+        thetas = np.round(rng.uniform(0.1, 2.0, n), 1).tolist()  # many repeats
+        deadlines = (np.round(rng.uniform(0.0, 1.0, n), 1) + 0.1).tolist()  # many ties
+        built = tasks_from_thetas(thetas, deadlines)
+        assert_same_task_sets(built, reference_task_set(thetas, deadlines))
+        # Ties keep their input order, as sorted() does.
+        order = sorted(range(n), key=lambda i: deadlines[i])
+        assert [t.efficiency_theta for t in built] == [
+            fit_piecewise(ExponentialAccuracy(thetas[i] / units.TERA)).first_slope for i in order
+        ]
+
+    def test_other_segment_counts(self):
+        thetas, deadlines = [0.3, 1.7, 0.3], [1.0, 0.5, 2.0]
+        for k in (1, 2, 8):
+            assert_same_task_sets(
+                tasks_from_thetas(thetas, deadlines, n_segments=k), reference_task_set(thetas, deadlines, k)
+            )
+
+    def test_task_objects_are_built_once(self):
+        tasks = tasks_from_thetas([0.2, 0.9], [1.0, 2.0])
+        first = tasks[0]
+        assert tasks.tasks is tasks.tasks
+        assert tasks[0] is first and next(iter(tasks)) is first
+
+    @pytest.mark.parametrize(
+        "thetas, deadlines",
+        [
+            ([0.1, 0.0], [1.0, 1.0]),
+            ([0.1, -0.2], [1.0, 1.0]),
+            ([float("nan")], [1.0]),
+            ([float("inf")], [1.0]),
+            ([], []),
+            ([0.1], [0.0]),
+            ([0.1], [float("nan")]),
+        ],
+    )
+    def test_rejects_what_the_per_task_path_rejected(self, thetas, deadlines):
+        with pytest.raises(ValidationError):
+            reference_task_set(thetas, deadlines)
+        with pytest.raises(ValidationError):
+            tasks_from_thetas(thetas, deadlines)
+
+    def test_rejects_bad_curve_parameters(self):
+        with pytest.raises(ValidationError):
+            tasks_from_thetas([0.1], [1.0], a_min=0.9, a_max=0.5)
+        with pytest.raises(ValidationError):
+            tasks_from_thetas([0.1], [1.0], coverage=1.0)
+        with pytest.raises(ValidationError):
+            tasks_from_thetas([0.1], [1.0], n_segments=0)
 
 
 class TestScenarios:
