@@ -34,6 +34,7 @@ and accuracies compare equal with ``==``, not approximately.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -41,14 +42,13 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..algorithms.base import Scheduler
-from ..core.instance import ProblemInstance
 from ..core.machine import Cluster
 from ..core.serialization import cluster_to_dict
+from ..online.planner import on_time_count, window_instance
 from ..telemetry import get_collector
 from ..utils.errors import RecoveryError, ValidationError
 from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request, window_batches
-from ..workloads.generator import tasks_from_thetas
 from .journal import JournalWriter
 from .recovery import RecoveredState, certify, recover
 from .snapshot import SnapshotStore
@@ -207,9 +207,21 @@ class DurableRun:
         }
 
     def _check_meta(self, recovered: RecoveredState, n_requests: int) -> None:
-        """A resumed run must be the *same* run, or determinism is fiction."""
-        expected = self._run_meta(n_requests)
-        for key in ("scheduler", "window_seconds", "power_cap_fraction", "energy_budget", "n_requests"):
+        """A resumed run must be the *same* run, or determinism is fiction.
+
+        Compared in journaled (JSON round-tripped) form, so the cluster and
+        degradation policy match their ``run_start`` copies exactly.
+        """
+        expected = json.loads(json.dumps(self._run_meta(n_requests)))
+        for key in (
+            "scheduler",
+            "window_seconds",
+            "power_cap_fraction",
+            "energy_budget",
+            "n_requests",
+            "machines",
+            "degradation",
+        ):
             have = recovered.meta.get(key)
             if have != expected[key]:
                 raise RecoveryError(
@@ -218,7 +230,8 @@ class DurableRun:
                 )
 
     @staticmethod
-    def _replayed_window(data: Dict[str, Any]) -> DurableWindow:
+    def _window(data: Dict[str, Any], *, replayed: bool) -> DurableWindow:
+        """The window a ``window_done`` record commits."""
         return DurableWindow(
             index=int(data["window"]),
             start=float(data["start"]),
@@ -229,7 +242,7 @@ class DurableRun:
             energy=float(data["energy"]),
             cum_energy=float(data["cum_energy"]),
             level=int(data["level"]),
-            replayed=True,
+            replayed=replayed,
         )
 
     def run(self, requests: Sequence[Request]) -> DurableReport:
@@ -250,7 +263,7 @@ class DurableRun:
             if journal.record_count > 0:
                 recovered = certify(recover(self.journal_dir), budget=self.energy_budget)
                 self._check_meta(recovered, len(ordered))
-                windows = [self._replayed_window(w) for w in recovered.windows]
+                windows = [self._window(w, replayed=True) for w in recovered.windows]
                 window_dicts = [dict(w) for w in recovered.windows]
                 cum_energy = recovered.energy_spent
                 level = recovered.degrade_level
@@ -303,36 +316,33 @@ class DurableRun:
         previous_level: int,
     ):
         tele = get_collector()
-        batch_ids = [ids[id(r)] for r in batch]
-        deadlines = [max(r.deadline - start, 1e-3) for r in batch]
-        thetas = [r.theta_per_tflop for r in batch]
-        order = list(np.argsort(deadlines, kind="stable"))
-        ordered_ids = [batch_ids[i] for i in order]
-        tasks = tasks_from_thetas([thetas[i] for i in order], [deadlines[i] for i in order])
-
         grant = self.window_budget
         if self.energy_budget is not None:
             grant = min(grant, max(self.energy_budget - cum_energy, 0.0))
+        order, instance = window_instance(batch, start, self.cluster, grant)
+        ordered_ids = [ids[id(batch[i])] for i in order]
 
+        # A window with no grant left is shed whole, but still committed
+        # so the ledger stays contiguous across restarts.
+        solve = grant > 0.0
         level = previous_level
         scale = 1.0
-        kept = np.arange(len(batch))
-        instance = None
+        kept = np.arange(len(batch) if solve else 0)
+        solved = instance
         # One commit for the pre-solve records: recovery acts on none of
         # them, so they only need to be durable before the solve starts.
         with journal.group():
-            for rid, request in zip(batch_ids, batch):
+            for request in batch:
                 journal.append(
                     {
                         "type": "arrival",
-                        "id": rid,
+                        "id": ids[id(request)],
                         "t": request.arrival_time,
                         "slo": request.slo_seconds,
                         "theta": request.theta_per_tflop,
                     }
                 )
-            if grant > 0.0:
-                instance = ProblemInstance(tasks, self.cluster, grant)
+            if solve:
                 if self.degradation is not None:
                     spent_fraction = cum_energy / self.energy_budget
                     level = self.degradation.level_for(spent_fraction)
@@ -349,7 +359,7 @@ class DurableRun:
                         )
                     decision = self.degradation.apply(instance, spent_fraction)
                     scale = decision.work_cap_scale
-                    instance, kept = decision.instance, decision.kept
+                    solved, kept = decision.instance, decision.kept
                 journal.append(
                     {
                         "type": "window_plan",
@@ -361,87 +371,33 @@ class DurableRun:
                     }
                 )
 
-        if instance is None:
-            # Budget exhausted: the window is shed whole, but still
-            # committed so the ledger stays contiguous across restarts.
-            zeros = [0.0] * len(batch)
-            done = {
-                "type": "window_done",
-                "window": index,
-                "start": start,
-                "ids": ordered_ids,
-                "thetas": [thetas[i] for i in order],
-                "deadlines": [deadlines[i] for i in order],
-                "flops": zeros,
-                "accuracies": zeros,
-                "caps": tasks.f_max.tolist(),
-                "shed": ordered_ids,
-                "level": level,
-                "on_time": 0,
-                "energy": 0.0,
-                "cum_energy": cum_energy,
-            }
-            journal.append(done)
+        flops, accuracies = np.zeros(len(batch)), np.zeros(len(batch))
+        on_time, energy = 0, 0.0
+        if solve:
+            with tele.span("durable.window.solve", window=str(index)):
+                schedule = self.scheduler.solve(solved)
+            flops[kept] = schedule.task_flops
+            accuracies[kept] = schedule.task_accuracies
+            on_time = on_time_count(schedule, solved.tasks.deadlines)
+            energy = float(schedule.total_energy)
+        else:
             tele.counter("durable_exhausted_windows_total").inc()
-            window = DurableWindow(
-                index=index,
-                start=start,
-                ids=tuple(ordered_ids),
-                accuracies=(0.0,) * len(batch),
-                flops=(0.0,) * len(batch),
-                on_time=0,
-                energy=0.0,
-                cum_energy=cum_energy,
-                level=level,
-                replayed=False,
-            )
-            return done, window
-
-        with tele.span("durable.window.solve", window=str(index)):
-            schedule = self.scheduler.solve(instance)
-
-        flops = schedule.task_flops
-        accuracies = schedule.task_accuracies
-        completion = schedule.completion_times.max(axis=1)
-        planned = {int(k): slot for slot, k in enumerate(kept)}
-        full_flops, full_acc = [0.0] * len(batch), [0.0] * len(batch)
-        on_time = 0
-        for i in range(len(batch)):
-            slot = planned.get(i)
-            if slot is None:
-                continue  # shed by the degradation policy
-            full_flops[i] = float(flops[slot])
-            full_acc[i] = float(accuracies[slot])
-            if full_flops[i] > 0.0 and completion[slot] <= tasks.deadlines[i] + 1e-9:
-                on_time += 1
-        energy = float(schedule.total_energy)
+        planned = set(kept.tolist())
         done = {
             "type": "window_done",
             "window": index,
             "start": start,
             "ids": ordered_ids,
-            "thetas": [thetas[i] for i in order],
-            "deadlines": [deadlines[i] for i in order],
-            "flops": full_flops,
-            "accuracies": full_acc,
-            "caps": (tasks.f_max * scale).tolist(),
-            "shed": [ordered_ids[i] for i in range(len(batch)) if i not in planned],
+            "thetas": [batch[i].theta_per_tflop for i in order],
+            "deadlines": instance.tasks.deadlines.tolist(),
+            "flops": flops.tolist(),
+            "accuracies": accuracies.tolist(),
+            "caps": (instance.tasks.f_max * scale).tolist(),
+            "shed": [rid for i, rid in enumerate(ordered_ids) if i not in planned],
             "level": level,
             "on_time": on_time,
             "energy": energy,
             "cum_energy": cum_energy + energy,
         }
         journal.append(done)
-        window = DurableWindow(
-            index=index,
-            start=start,
-            ids=tuple(ordered_ids),
-            accuracies=tuple(full_acc),
-            flops=tuple(full_flops),
-            on_time=on_time,
-            energy=energy,
-            cum_energy=cum_energy + energy,
-            level=level,
-            replayed=False,
-        )
-        return done, window
+        return done, self._window(done, replayed=False)

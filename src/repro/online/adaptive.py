@@ -11,12 +11,6 @@ calm windows and starves bursts.  :class:`AdaptiveBudgetPlanner` paces a
   *spent* energy is deducted, so savings automatically flow to later
   windows (carry-over) through the growing per-window share.
 
-An ``aggressiveness`` factor > 1 lets a window overdraw its proportional
-share.  Empirically it *hurts* under the concave accuracy returns of
-this problem (front-loaded windows saturate while later bursts starve),
-so the default is strict pacing (1.0); the knob is kept for
-experimentation and the trade-off is pinned down in the tests.
-
 Under bursty (MMPP) traffic strict pacing buys measurable accuracy over
 the fixed per-window cap at equal total energy, because the fixed cap
 *forfeits* whatever a calm window leaves unused.
@@ -26,15 +20,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from ..algorithms.base import Scheduler
-from ..core.instance import ProblemInstance
 from ..core.machine import Cluster
 from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request, window_batches
-from ..workloads.generator import tasks_from_thetas
-from .planner import ServingReport, WindowOutcome
+from .planner import ServingReport, WindowOutcome, on_time_count, window_instance
 
 __all__ = ["AdaptiveBudgetPlanner"]
 
@@ -50,10 +40,6 @@ class AdaptiveBudgetPlanner:
         Energy (J) for the whole horizon.
     horizon_seconds:
         Planning horizon the pacing spreads the budget over.
-    aggressiveness:
-        ≥ 1; how far a single window may overdraw its proportional share
-        (1 = strict pacing, the empirically best default; larger values
-        front-load and usually lose accuracy under concave returns).
     """
 
     def __init__(
@@ -64,19 +50,16 @@ class AdaptiveBudgetPlanner:
         total_budget: float,
         horizon_seconds: float,
         window_seconds: float = 2.0,
-        aggressiveness: float = 1.0,
     ):
         check_positive(total_budget, "total_budget")
         check_positive(horizon_seconds, "horizon_seconds")
         check_positive(window_seconds, "window_seconds")
         require(window_seconds <= horizon_seconds, "window must fit in the horizon")
-        require(aggressiveness >= 1.0, "aggressiveness must be >= 1")
         self.cluster = cluster
         self.scheduler = scheduler
         self.total_budget = float(total_budget)
         self.horizon_seconds = float(horizon_seconds)
         self.window_seconds = float(window_seconds)
-        self.aggressiveness = float(aggressiveness)
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
         """Plan the stream with paced carry-over budgeting."""
@@ -85,29 +68,17 @@ class AdaptiveBudgetPlanner:
         for start, batch in window_batches(list(requests), self.window_seconds):
             remaining_time = max(self.horizon_seconds - start, self.window_seconds)
             share = remaining_budget * self.window_seconds / remaining_time
-            grant = min(self.aggressiveness * share, remaining_budget)
-            if grant <= 0:
-                grant = 0.0
-            deadlines = [max(r.deadline - start, 1e-3) for r in batch]
-            thetas = [r.theta_per_tflop for r in batch]
-            order = np.argsort(deadlines, kind="stable")
-            tasks = tasks_from_thetas(
-                [thetas[i] for i in order], [deadlines[i] for i in order]
-            )
-            instance = ProblemInstance(tasks, self.cluster, grant)
+            _, instance = window_instance(batch, start, self.cluster, min(share, remaining_budget))
             schedule = self.scheduler.solve(instance)
             spent = schedule.total_energy
             remaining_budget = max(remaining_budget - spent, 0.0)
-            completion = schedule.completion_times.max(axis=1)
-            served = schedule.task_flops > 0
-            on_time = int(np.sum(served & (completion <= tasks.deadlines + 1e-9)))
             outcomes.append(
                 WindowOutcome(
                     start=start,
                     n_requests=len(batch),
                     schedule=schedule,
                     accuracies=schedule.task_accuracies,
-                    on_time=on_time,
+                    on_time=on_time_count(schedule, instance.tasks.deadlines),
                     energy=spent,
                 )
             )

@@ -4,10 +4,21 @@ The paper solves a static batch; a serving front-end sees a stream.  The
 natural deployment (also used in its inspiration, Jellyfish [16]) is a
 rolling horizon: buffer arrivals for a short planning window, then solve
 the buffered batch as a DSCT-EA instance whose deadlines are the
-requests' SLOs relative to the window start, and whose budget is the
+requests' SLOs relative to a planning instant, and whose budget is the
 window's share of a global power cap.
 
-:class:`RollingHorizonPlanner` formalises that loop around any
+:func:`window_instance` is that step, shared by every online path.  The
+planning instant is the caller's: :class:`RollingHorizonPlanner`,
+:class:`~repro.online.adaptive.AdaptiveBudgetPlanner` and
+:class:`~repro.durability.run.DurableRun` plan at the window *start*, so
+a request's work can be scheduled before the request arrives;
+:class:`~repro.simulator.online_sim.OnlineSimulation` plans at the tick
+that *closes* the window, over requests already arrived.  The two are not
+interchangeable on short SLOs: on bursty streams with 0.5-2 s SLOs and
+2 s windows, planning at close cut the durable planner's mean accuracy
+from 0.409 to 0.231 and its on-time share from 0.82 to 0.54.
+
+:class:`RollingHorizonPlanner` formalises the loop around any
 :class:`~repro.algorithms.base.Scheduler`; the ``mlaas_online_serving``
 example is a thin wrapper over it.
 """
@@ -15,7 +26,7 @@ example is a thin wrapper over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +40,29 @@ from ..utils.validation import check_positive
 from ..workloads.arrivals import Request, window_batches
 from ..workloads.generator import tasks_from_thetas
 
-__all__ = ["WindowOutcome", "ServingReport", "RollingHorizonPlanner"]
+__all__ = ["WindowOutcome", "ServingReport", "RollingHorizonPlanner", "window_instance", "on_time_count"]
+
+
+def window_instance(
+    batch: Sequence[Request], now: float, cluster: Cluster, budget: float
+) -> Tuple[np.ndarray, ProblemInstance]:
+    """One window's batch as a DSCT-EA instance planned at instant ``now``.
+
+    Each deadline is the request's absolute deadline measured from
+    ``now``, floored at 1 ms so a request already due still yields a
+    valid task.  Tasks are in EDF order with ties in batch order: task
+    ``k`` is ``batch[order[k]]``.
+    """
+    deadlines = np.maximum([r.deadline - now for r in batch], 1e-3)
+    order = np.argsort(deadlines, kind="stable")
+    tasks = tasks_from_thetas([batch[i].theta_per_tflop for i in order], deadlines[order])
+    return order, ProblemInstance(tasks, cluster, budget)
+
+
+def on_time_count(schedule: Schedule, deadlines: np.ndarray) -> int:
+    """Tasks of ``schedule`` that received work and finish by their deadline."""
+    completion = schedule.completion_times.max(axis=1)
+    return int(np.sum((schedule.task_flops > 0) & (completion <= deadlines + 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -117,16 +150,10 @@ class RollingHorizonPlanner:
             raise ValidationError("cannot plan an empty window")
         tele = get_collector()
         with tele.span("planner.window"):
-            deadlines = [max(r.deadline - start, 1e-3) for r in batch]
-            thetas = [r.theta_per_tflop for r in batch]
-            order = np.argsort(deadlines, kind="stable")
-            tasks = tasks_from_thetas([thetas[i] for i in order], [deadlines[i] for i in order])
-            instance = ProblemInstance(tasks, self.cluster, self.window_budget)
+            _, instance = window_instance(batch, start, self.cluster, self.window_budget)
             with tele.span("planner.window.solve"):
                 schedule = self.scheduler.solve(instance)
-            completion = schedule.completion_times.max(axis=1)
-            served = schedule.task_flops > 0
-            on_time = int(np.sum(served & (completion <= tasks.deadlines + 1e-9)))
+            on_time = on_time_count(schedule, instance.tasks.deadlines)
         tele.counter("planner_windows_total").inc()
         tele.counter("planner_requests_total").add(len(batch))
         tele.counter("planner_on_time_total").add(on_time)
@@ -224,11 +251,7 @@ class RollingHorizonPlanner:
         outcomes: List[WindowOutcome] = []
         with ensure_trace(), tele.span("planner.run_with_failures"):
             for start, batch in window_batches(list(requests), self.window_seconds):
-                deadlines = [max(r.deadline - start, 1e-3) for r in batch]
-                thetas = [r.theta_per_tflop for r in batch]
-                order = np.argsort(deadlines, kind="stable")
-                tasks = tasks_from_thetas([thetas[i] for i in order], [deadlines[i] for i in order])
-                instance = ProblemInstance(tasks, self.cluster, self.window_budget)
+                _, instance = window_instance(batch, start, self.cluster, self.window_budget)
                 with tele.span("planner.window.solve"):
                     schedule = self.scheduler.solve(instance)
                 local = failures.shifted(start)

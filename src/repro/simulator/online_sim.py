@@ -5,9 +5,10 @@ precomputed plan, :class:`OnlineSimulation` runs the *serving loop*
 itself inside the event engine:
 
 * request arrivals are events (from any arrival process);
-* at every planning-window boundary the buffered requests are handed to
-  a :class:`~repro.online.planner.RollingHorizonPlanner`-style policy
-  (any scheduler, window energy budget);
+* at every planning-window boundary the buffered requests are planned
+  as one instance (:func:`~repro.online.planner.window_instance`, with
+  deadlines measured from that tick) by any scheduler under the
+  window's energy budget;
 * the planned shares are dispatched to machine queues and executed
   non-preemptively; completions are measured against each request's
   *absolute* SLO deadline (arrival + SLO), not the planner's relative
@@ -41,13 +42,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..algorithms.base import Scheduler
-from ..core.instance import ProblemInstance
 from ..core.machine import Cluster, Machine
+from ..online.planner import window_instance
 from ..telemetry import current_trace_id, ensure_trace, get_collector
 from ..utils.errors import ReproError, SimulationError
 from ..utils.validation import check_nonnegative, check_positive, require
 from ..workloads.arrivals import Request
-from ..workloads.generator import tasks_from_thetas
 from .engine import EventQueue
 from .failures import FailureModel, Outage
 
@@ -465,15 +465,10 @@ class OnlineSimulation:
             tele.counter("online_sim_unservable_windows_total").inc()
             commit_empty("unservable")
             return
-        # Deadlines relative to the *planning instant*; a request that has
+        # Planned at the tick that closes the window: a request that has
         # already burnt part of its SLO waiting gets only the remainder.
-        deadlines = [max(r.deadline - window_start, 1e-3) for r in reqs]
-        order = list(np.argsort(deadlines, kind="stable"))
-        tasks = tasks_from_thetas(
-            [reqs[i].theta_per_tflop for i in order],
-            [deadlines[i] for i in order],
-        )
-        instance = ProblemInstance(tasks, cluster, self._window_budget_now(busy, powers))
+        order, instance = window_instance(reqs, window_start, cluster, self._window_budget_now(busy, powers))
+        tasks = instance.tasks
         self._journal(
             {
                 "type": "window_plan",
@@ -589,7 +584,7 @@ class OnlineSimulation:
                     "window": window_index,
                     "start": window_start,
                     "ids": [batch[i] for i in order],
-                    "deadlines": [float(d) for d in tasks.deadlines],
+                    "deadlines": tasks.deadlines.tolist(),
                     "flops": window_flops,
                     "caps": caps,
                     "energy": window_energy,

@@ -28,7 +28,7 @@ from repro.durability import (
     run_crash_test,
 )
 from repro.hardware import sample_uniform_cluster
-from repro.online.planner import RollingHorizonPlanner
+from repro.online.planner import RollingHorizonPlanner, window_instance
 from repro.resilience.degrade import DegradationPolicy
 from repro.simulator.online_sim import OnlineSimulation
 from repro.telemetry import MetricsRegistry, collector
@@ -375,6 +375,19 @@ class TestDurableRun:
         with pytest.raises(RecoveryError, match="different run"):
             other.run(requests)
 
+    @pytest.mark.parametrize("changed, machines, degrade", [("machines", 6, True), ("degradation", 3, False)])
+    def test_resume_refuses_another_cluster_or_policy(self, cluster, requests, tmp_path, changed, machines, degrade):
+        budget = 0.35 * 8.0 * cluster.total_power
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "wal-00000000.log").write_bytes(stream[: len(stream) // 3])
+        assert recover(tmp_path / "cut").next_window < len(reference.windows)
+        other = sample_uniform_cluster(machines, seed=0)  # the fixture's cluster has 3
+        resumed = make_durable(other, tmp_path / "cut", budget=budget, degrade=degrade)
+        with pytest.raises(RecoveryError, match=f"different run: {changed}"):
+            resumed.run(requests)
+
     def test_exhausted_budget_sheds_whole_windows(self, cluster, requests, tmp_path):
         budget = 0.05 * 8.0 * cluster.total_power  # starvation budget
         report = make_durable(cluster, tmp_path, budget=budget).run(requests)
@@ -432,13 +445,31 @@ class TestDurableWindowCommits:
     def test_exhausted_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs):
         requests = self.one_window()
         budget = 1.0
-        run = DurableRun(cluster, make_scheduler("approx"), tmp_path, energy_budget=budget, fsync="always")
+        run = DurableRun(
+            cluster,
+            make_scheduler("approx"),
+            tmp_path,
+            energy_budget=budget,
+            degradation=DegradationPolicy.default(),
+            fsync="always",
+        )
         ids = {id(r): i for i, r in enumerate(requests)}
         with JournalWriter(tmp_path, fsync="always") as journal:
             before = len(fsyncs)
-            _, window = run._plan_window(journal, 0, 0.0, requests, ids, budget, -1)
+            done, window = run._plan_window(journal, 0, 0.0, requests, ids, budget, 2)
             assert len(fsyncs) - before == 2 and window.energy == 0.0
-        assert [e["type"] for e in read_events(tmp_path)] == ["arrival"] * len(requests) + ["window_done"]
+        events = read_events(tmp_path)
+        assert [e["type"] for e in events] == ["arrival"] * len(requests) + ["window_done"]
+        assert {k: v for k, v in events[-1].items() if k != "trace_id"} == done
+        # Nothing planned, nothing spent, the degradation level kept.
+        n = len(requests)
+        _, instance = window_instance(requests, 0.0, cluster, 0.0)
+        assert done["flops"] == done["accuracies"] == [0.0] * n
+        assert sorted(done["ids"]) == list(range(n)) and done["shed"] == done["ids"]
+        assert done["caps"] == instance.tasks.f_max.tolist()
+        assert done["deadlines"] == instance.tasks.deadlines.tolist()
+        assert (done["on_time"], done["energy"], done["cum_energy"], done["level"]) == (0, 0.0, budget, 2)
+        assert (window.cum_energy, window.level) == (budget, 2)
 
     def test_truncation_inside_a_grouped_window_recovers_the_committed_prefix(
         self, cluster, requests, tmp_path

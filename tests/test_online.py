@@ -1,13 +1,16 @@
 """Rolling-horizon online planner."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms import ApproxScheduler
 from repro.baselines import EDFNoCompressionScheduler
 from repro.hardware import sample_uniform_cluster
 from repro.online import RollingHorizonPlanner
+from repro.online.planner import on_time_count, window_instance
 from repro.utils.errors import ValidationError
-from repro.workloads import PoissonArrivals, Request
+from repro.workloads import MMPPArrivals, PoissonArrivals, Request
+from repro.workloads.generator import tasks_from_thetas
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +83,45 @@ class TestPlanner:
         outcome = planner.plan_window(0.0, [request])
         assert outcome.n_requests == 1
         assert outcome.schedule.feasibility().feasible
+
+
+class TestWindowStep:
+    def test_window_instance_plans_from_now(self, cluster):
+        batch = [
+            Request(arrival_time=1.0, slo_seconds=2.0, theta_per_tflop=0.3),
+            Request(arrival_time=0.1, slo_seconds=0.2, theta_per_tflop=0.4),  # due before now
+            Request(arrival_time=0.5, slo_seconds=2.5, theta_per_tflop=0.5),  # ties the first
+            Request(arrival_time=0.6, slo_seconds=0.5, theta_per_tflop=0.6),
+        ]
+        order, instance = window_instance(batch, 0.5, cluster, 123.0)
+        assert order.tolist() == [1, 3, 0, 2]  # EDF, ties in batch order
+        assert instance.tasks.deadlines.tolist() == [
+            1e-3,
+            batch[3].deadline - 0.5,
+            batch[0].deadline - 0.5,
+            batch[2].deadline - 0.5,
+        ]
+        assert instance.cluster is cluster and instance.budget == 123.0
+        for k, i in enumerate(order):
+            alone = tasks_from_thetas([batch[i].theta_per_tflop], [1.0])
+            assert instance.tasks.f_max[k] == alone.f_max[0]
+
+    def test_on_time_count(self, cluster, stream):
+        _, instance = window_instance(stream[:8], 0.0, cluster, 0.3 * 2.0 * cluster.total_power)
+        schedule = ApproxScheduler().solve(instance)
+        served = int(np.sum(schedule.task_flops > 0))
+        assert served > 0
+        assert on_time_count(schedule, np.full(8, np.inf)) == served
+        assert on_time_count(schedule, np.zeros(8)) == 0
+
+    def test_run_and_run_durable_agree_bit_for_bit(self, cluster, tmp_path):
+        requests = MMPPArrivals(2.0, 8.0, mean_phase_seconds=2.0, seed=5).generate(12.0)
+        planner = RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=2.0)
+        plain = planner.run(requests)
+        durable = planner.run_durable(requests, tmp_path, fsync="never")
+        assert len(plain.windows) == len(durable.windows) > 1
+        assert 0 < plain.on_time_fraction < 1
+        for a, b in zip(plain.windows, durable.windows):
+            assert tuple(a.accuracies.tolist()) == b.accuracies
+            assert a.on_time == b.on_time
+            assert a.energy == b.energy
