@@ -67,6 +67,12 @@ def residual_accuracy(acc: PiecewiseLinearAccuracy, f_done: float) -> Optional[P
     ``a~(g) = a(f_done + g)`` — the original concave curve shifted left,
     starting at the accuracy already achieved.  Returns ``None`` when the
     task is (numerically) complete, i.e. no residual work remains.
+
+    When ``f_done`` lies just below a breakpoint, the leading piece is a
+    sliver whose accuracy rise spans a few ulps, so its slope is
+    quantised and can read below the next piece's.  Such a sliver is
+    merged into the next piece: the merged slope averages the two, so it
+    is at least the next one's and the curve stays concave.
     """
     require(f_done >= 0, f"f_done must be >= 0, got {f_done}")
     if f_done <= 0.0:
@@ -77,6 +83,10 @@ def residual_accuracy(acc: PiecewiseLinearAccuracy, f_done: float) -> Optional[P
     keep = acc.breakpoints > f_done + _MIN_RESIDUAL_WORK
     points = np.concatenate([[0.0], acc.breakpoints[keep] - f_done])
     values = np.concatenate([[acc.value(f_done)], acc.breakpoint_accuracies[keep]])
+    if points.size > 2:
+        slopes = np.diff(values[:3]) / np.diff(points[:3])
+        if slopes[0] < slopes[1]:
+            points, values = np.delete(points, 1), np.delete(values, 1)
     return PiecewiseLinearAccuracy(points, values)
 
 

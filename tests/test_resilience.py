@@ -243,6 +243,20 @@ class TestResidualAccuracy:
         assert res.value(g) == pytest.approx(acc.value(f_done + g), rel=1e-9)
         assert res.f_max == pytest.approx(acc.f_max - f_done, rel=1e-9)
 
+    def test_sliver_below_breakpoint_stays_concave(self):
+        # f_done a few µFLOP below a breakpoint leaves a leading piece whose
+        # accuracy rise is a few ulps, so its slope is quantised; unmerged,
+        # some of these widths read as a convex kink and raised.
+        acc = make_instance(n=3, m=1, beta=0.5, seed=712).tasks[0].accuracy
+        for k in range(1, acc.breakpoints.size - 1):
+            for sliver in np.geomspace(2e-6, 1e-2, 60):
+                f_done = float(acc.breakpoints[k] - sliver)
+                res = residual_accuracy(acc, f_done)
+                assert np.all(np.diff(res.slopes) <= 1e-9 * res.slopes.max())
+                assert res.value(0.0) == acc.value(f_done)
+                assert res.f_max == acc.f_max - f_done
+                assert res.value(res.f_max) == acc.a_max
+
 
 class TestReplanning:
     @pytest.fixture(scope="class")
