@@ -30,7 +30,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .injector import FaultInjector
 from .schedule import ChaosSchedule
@@ -146,8 +146,13 @@ def _campaign_load(
     scheduler: str,
     concurrency: int,
     timeout: float,
-) -> Counter:
-    """Drive the request load; returns a status-code histogram.
+) -> Tuple[Counter, List[str]]:
+    """Drive the request load.
+
+    Returns the status-code histogram and, for every request that did
+    not resolve, one line naming its index, trace id, status and error
+    text (the exception, for a submit that raised) — a liveness
+    violation must say *why* a request went unanswered.
 
     Trace ids are deterministic in ``(seed, index)`` so the
     consistent-hash routing — and therefore each shard's operation
@@ -155,16 +160,20 @@ def _campaign_load(
     the same campaign.
     """
 
-    def one(index: int) -> int:
+    def one(index: int) -> Tuple[int, Optional[str]]:
         tid = f"{seed & 0xFFFFFFFF:08x}{index:08x}"
         try:
             doc = manager.submit(scheduler, instance_doc, trace_id=tid, timeout=timeout)
-        except Exception:  # noqa: BLE001 — a crash counts as unresolved
-            return -1
-        return int(doc.get("status", 200))
+        except Exception as exc:  # noqa: BLE001 — a crash counts as unresolved
+            return -1, f"request {index} (trace {tid}): raised {type(exc).__name__}: {exc}"
+        status = int(doc.get("status", 200))
+        if status in _RESOLVED_STATUSES:
+            return status, None
+        return status, f"request {index} (trace {tid}): {status} {doc.get('error', '(no error text)')}"
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return Counter(pool.map(one, range(requests)))
+        outcomes = list(pool.map(one, range(requests)))
+    return Counter(status for status, _ in outcomes), [why for _, why in outcomes if why]
 
 
 def run_campaign(
@@ -223,7 +232,7 @@ def run_campaign(
     started = time.perf_counter()
     try:
         manager.start()
-        statuses = _campaign_load(
+        statuses, unresolved = _campaign_load(
             manager,
             instance_doc,
             seed=seed,
@@ -265,7 +274,8 @@ def run_campaign(
     if resolve_rate < min_resolve_rate:
         violations.append(
             f"only {resolve_rate:.1%} of accepted requests resolved "
-            f"(required {min_resolve_rate:.1%}); statuses: {dict(statuses)}"
+            f"(required {min_resolve_rate:.1%}); statuses: {dict(statuses)}; "
+            f"unresolved: {'; '.join(unresolved)}"
         )
     return CampaignReport(
         seed=seed,

@@ -304,8 +304,19 @@ class WindowBatcher:
             if not self._in_flight:
                 self._wakeup.notify()
 
-    def close(self, *, drain: bool = True) -> None:
-        """Stop the batcher; ``drain=True`` dispatches queued items first."""
+    def close(
+        self,
+        *,
+        drain: bool = True,
+        on_undispatched: Optional[Callable[[Any, PendingResult], None]] = None,
+    ) -> None:
+        """Stop the batcher; ``drain=True`` dispatches queued items first.
+
+        With ``drain=False`` queued items never leave in a window: each is
+        handed to ``on_undispatched(item, pending)`` (a dead shard's
+        front-end re-routes them), or its pending fails when no callback
+        is given.
+        """
         with self._lock:
             self._closed = True
             leftovers: List[Tuple[Any, PendingResult]] = []
@@ -314,6 +325,9 @@ class WindowBatcher:
                     leftovers.extend(queue)
                     queue.clear()
             self._wakeup.notify_all()
-        for _, pending in leftovers:
-            pending.fail(ValidationError(f"batcher {self.name!r} closed"))
+        for item, pending in leftovers:
+            if on_undispatched is not None:
+                on_undispatched(item, pending)
+            else:
+                pending.fail(ValidationError(f"batcher {self.name!r} closed"))
         self._thread.join(timeout=5.0)

@@ -56,6 +56,7 @@ from ..utils.validation import check_positive, require
 from .batcher import PendingResult, QueueFullError, WindowBatcher
 from .ledger import EnergyLeaseLedger
 from .router import ConsistentHashRouter
+from .solve_service import read_json_body
 from .supervisor import ShardSupervisor
 from .worker import WorkerConfig, worker_main
 
@@ -807,9 +808,10 @@ class ClusterManager:
         the dead worker may have journalled spend the front-end never saw,
         and the in-memory ledger must never under-count the durable one
         (released headroom would be re-granted — and re-spent — while the
-        journal already holds the first spend).  Orphaned requests retry
-        on surviving shards with backoff; the epoch bump fences any
-        straggler commit of the dead generation.
+        journal already holds the first spend).  Orphaned requests, and
+        those still queued for the shard, retry on surviving shards with
+        backoff; the epoch bump fences any straggler commit of the dead
+        generation.
         """
         with handle.lock:
             if not handle.alive:
@@ -819,7 +821,13 @@ class ClusterManager:
             handle.inflight.clear()
         self.telemetry.counter("shard_deaths_total", shard=handle.shard).inc()
         if handle.batcher is not None:
-            handle.batcher.close(drain=False)
+            # Requests still queued behind the dead window retry like its
+            # orphans; failing them would answer 500 for a shard death.
+            reason = f"shard {handle.shard} died before dispatch"
+            handle.batcher.close(
+                drain=False,
+                on_undispatched=lambda item, pending: self._retry_or_fail(item, pending, reason),
+            )
         for kind, payload, grant, epoch, _ in orphans:
             if grant and self.ledger.budget is not None:
                 if self.injector is not None:
@@ -1182,8 +1190,7 @@ class _ClusterHandler(BaseHTTPRequestHandler):
                     self._send_json({"error": f"invalid deadline {raw_deadline!r}"}, 400)
                     return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                data = json.loads(self.rfile.read(length).decode())
+                data = read_json_body(self.headers, self.rfile)
             except (ValueError, UnicodeDecodeError) as exc:
                 manager.telemetry.counter("frontend_errors_total", status="400").inc()
                 self._send_json({"error": f"invalid JSON body: {exc}"}, 400)

@@ -13,8 +13,9 @@ construction and each :meth:`solve` call owns its scheduler instance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import IO, Any, Dict, Mapping, Optional
 
 from ..algorithms.base import Scheduler, SolveResult
 from ..algorithms.registry import make_scheduler
@@ -22,7 +23,7 @@ from ..core.instance import ProblemInstance
 from ..core.serialization import schedule_to_dict
 from ..resilience.fallback import FallbackChain, run_with_deadline
 
-__all__ = ["SolveServiceConfig", "SolveService", "solve_payload"]
+__all__ = ["SolveServiceConfig", "SolveService", "solve_payload", "read_json_body"]
 
 
 @dataclass(frozen=True)
@@ -112,3 +113,17 @@ def solve_payload(
     if "tier" in result.info.extra:
         payload["served_tier"] = result.info.extra["tier"]
     return payload
+
+
+def read_json_body(headers: Mapping[str, str], rfile: IO[bytes]) -> Any:
+    """Read and parse a ``POST /solve`` body (both HTTP front-ends).
+
+    Raises ``ValueError`` for a malformed or negative ``Content-Length``
+    and for a body that is not UTF-8 JSON.  A negative length must be
+    refused before the read: ``rfile.read(-1)`` reads to EOF, which
+    blocks the handler thread until the client hangs up.
+    """
+    length = int(headers.get("Content-Length", "0"))
+    if length < 0:
+        raise ValueError(f"negative Content-Length {length}")
+    return json.loads(rfile.read(length).decode())

@@ -4,9 +4,10 @@ Generic linters see Python; they do not see the *physics*.  DSCT-EA
 correctness hinges on arithmetic Python cannot type-check — FLOPs,
 joules, seconds and their ratios (s_r, P_r, E_r = s_r/P_r) flow through
 every solver as plain ``float`` — and on serving-stack disciplines
-(crash-safe writes, monotonic clocks, lock hygiene, trace propagation)
-that are enforced only by convention.  This package encodes those
-conventions as machine-checked AST rules:
+(crash-safe writes, monotonic clocks, trace propagation, bounded
+waits and queues, settled energy grants) that are enforced only by
+convention.  This package encodes those conventions as machine-checked
+AST rules:
 
 Domain rules
     ========  =====================================================
@@ -21,31 +22,28 @@ Domain rules
 
 Concurrency rules
     ========  =====================================================
-    RL010     ``Lock.acquire()`` without ``with``/``try‑finally``
-    RL011     blocking call (fsync, solve, sleep, network/file I/O)
-              inside a ``with lock:`` body
     RL012     ``threading.Thread`` target that drops the ambient
               trace/collector context (silent trace-id loss)
+    RL013     unbounded ``queue.get()``/``process.join()`` in the
+              cluster data plane (hangs on a SIGKILLed peer)
+    RL014     unbounded ``Queue()``/``deque()`` in the cluster and
+              overload data plane (stored overload collapse)
     ========  =====================================================
 
 Whole-program rules (joined over every file of the run)
     ========  =====================================================
-    RL016     cross-module lock-order cycle (deadlock by reversed
-              acquisition order, joined over the call graph)
     RL017     energy-grant leak: a ``reserve()``/``_reserve_for()``
               grant that can miss ``commit()``/``release()`` on some
               CFG path — exception edges included
     RL018     unit-dimension mismatch across a call boundary
               (seconds passed into a ``budget`` parameter)
-    RL019     blocking call reached transitively from a lock-held
-              region (RL011 through the call graph)
     ========  =====================================================
 
 Every run is one pass: each file is parsed once, walked once by the
 per-file rules, and summarised (:mod:`repro.lint.flow`) into dataflow
 facts — symbol tables, per-function CFGs with explicit exception edges,
-lock regions, call records — which are joined into a project-wide call
-graph for the whole-program rules.
+call records — which are joined into a project-wide call graph for the
+whole-program rules.
 
 Any finding can be suppressed per line with ``# repro: noqa[RL001]``
 (or blanket ``# repro: noqa``); see :mod:`repro.lint.suppress`.

@@ -3,7 +3,7 @@
 Usage::
 
     repro lint src tests                 # lint trees with every rule
-    repro lint src --select RL01         # concurrency rules only
+    repro lint src --select RL013,RL014  # the cluster data-plane rules only
     repro lint src --ignore RL002,RL005  # drop the warnings
     repro lint src --format json         # machine-readable output
     repro lint src --format sarif        # SARIF 2.1.0 (PR annotations)

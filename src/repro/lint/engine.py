@@ -17,7 +17,7 @@ file, directory trees — runs the same routine.  Per file it
 
 The summaries are then joined into a
 :class:`~repro.lint.flow.program.Program` — for a single source, just
-its own module — and each ``whole_program`` rule (RL016–RL019) runs
+its own module — and each ``whole_program`` rule (RL017, RL018) runs
 once over the join.  Findings on a line carrying a matching suppression
 comment are dropped, and the rest come back sorted by location, so
 output is deterministic.

@@ -1,6 +1,6 @@
 """Whole-program dataflow for :mod:`repro.lint`.
 
-The per-file rules (RL001–RL015) see one AST at a time; this package
+The per-file rules (RL001–RL014) see one AST at a time; this package
 gives rules the *program*: a project-wide symbol table and call graph
 (:mod:`.symbols`, :mod:`.callgraph`), a per-function control-flow graph
 with explicit exception edges (:mod:`.cfg`), and per-function dataflow
@@ -8,14 +8,14 @@ summaries (:mod:`.summaries`) that interprocedural rules consume.
 
 The division of labour is deliberate:
 
-* everything *per-file* — CFG construction, the grant-leak proof, lock
-  regions, call-site dimension inference — happens once per file, on
-  the tree the per-file rules already walked, and is recorded in a
+* everything *per-file* — CFG construction, the grant-leak proof,
+  call-site dimension inference — happens once per file, on the tree
+  the per-file rules already walked, and is recorded in a
   :class:`~.summaries.FunctionSummary`;
 * everything *cross-file* — import resolution, call-graph edges,
-  lock-order cycles, transitive blocking closures, argument/parameter
-  dimension joins — happens in :class:`~.program.Program` from those
-  summaries alone, never from the trees.
+  argument/parameter dimension joins — happens in
+  :class:`~.program.Program` from those summaries alone, never from the
+  trees.
 """
 
 from .callgraph import CallGraph

@@ -12,12 +12,12 @@ callee is *known*:
   fallback) — ambiguity yields no edge rather than a wrong one.
 
 Unresolved calls simply contribute nothing; the interprocedural rules
-built on top (RL016/RL018/RL019) under-approximate instead of guessing.
+built on top (RL018) under-approximate instead of guessing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .summaries import CallRecord, FunctionSummary, ModuleSummary
 from .symbols import SymbolTable
@@ -55,23 +55,6 @@ class CallGraph:
 
     def callees(self, qualname: str) -> List[Tuple[str, CallRecord]]:
         return list(self.edges.get(qualname, ()))
-
-    def reachable(self, qualname: str, *, max_depth: int = 6) -> Set[str]:
-        """Functions transitively callable from ``qualname`` (bounded BFS)."""
-        seen: Set[str] = set()
-        frontier = [qualname]
-        for _ in range(max_depth):
-            nxt: List[str] = []
-            for current in frontier:
-                for callee, _record in self.edges.get(current, ()):
-                    if callee not in seen:
-                        seen.add(callee)
-                        nxt.append(callee)
-            if not nxt:
-                break
-            frontier = nxt
-        seen.discard(qualname)
-        return seen
 
     # -- resolution ----------------------------------------------------------
 

@@ -1,17 +1,10 @@
 """Per-function dataflow summaries — the unit the whole-program rules consume.
 
 Everything expensive happens here, once per file: CFG construction, the
-energy-grant leak proof (RL017's engine), lock-region tracking, call
-records with inferred argument dimensions, and direct-blocking
-classification.  A :class:`FunctionSummary` is a plain record of the
-results, so the program-level joins (:mod:`.program`) stay cheap.
-
-Lock identifiers are canonicalised *file-locally*: ``self._lock`` inside
-``class EnergyLeaseLedger`` of ``repro.cluster.ledger`` becomes
-``repro.cluster.ledger.EnergyLeaseLedger._lock``.  Cross-module lock
-identity then needs no global type inference — a callee's locks are
-canonicalised in the callee's own summary, and the caller reaches them
-through the call graph.
+energy-grant leak proof (RL017's engine) and call records with inferred
+argument dimensions (RL018's raw material).  A :class:`FunctionSummary`
+is a plain record of the results, so the program-level joins
+(:mod:`.program`) stay cheap.
 
 The grant-leak analysis proves, per reservation site, that the grant
 variable reaches a ``commit()``/``release()`` on **every** CFG path —
@@ -33,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..rules.concurrency import _blocking_reason, _expr_text, _is_lock_expr
+from ..rules.concurrency import _expr_text
 from ..rules.domain import _NAME_DIMS, Dim, build_env, infer_dim
 from .cfg import CFG, build_cfg
 from .symbols import ModuleDecl, build_module_decl
@@ -64,18 +57,10 @@ class CallRecord:
     col: int
     #: Dotted name parts as written (``("self", "_reserve_for")``).
     parts: Tuple[str, ...]
-    #: Canonical ids of locks held when the call executes.
-    under_locks: Tuple[str, ...] = ()
-    #: Why the call blocks (RL011's tables), or ``None``.
-    blocking: Optional[str] = None
     #: Inferred dimension per positional argument (None = unknown/poly).
     arg_dims: Tuple[Optional[Dim], ...] = ()
     #: Inferred dimension per keyword argument.
     kwarg_dims: Tuple[Tuple[str, Optional[Dim]], ...] = ()
-
-    @property
-    def text(self) -> str:
-        return ".".join(self.parts)
 
 
 @dataclass
@@ -100,10 +85,6 @@ class FunctionSummary:
     module: str
     line: int
     calls: List[CallRecord] = field(default_factory=list)
-    #: Canonical lock ids this function acquires directly (with/acquire).
-    locks_acquired: Tuple[str, ...] = ()
-    #: Directly nested acquisitions: (outer lock, inner lock, line).
-    lock_pairs: Tuple[Tuple[str, str, int], ...] = ()
     #: Grant-leak proofs that failed (RL017 raw material).
     grant_leaks: List[GrantLeak] = field(default_factory=list)
     #: Dimensions of named parameters (from the unit-name tables).
@@ -116,20 +97,6 @@ class ModuleSummary:
 
     decl: ModuleDecl
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-
-# -- lock canonicalisation -----------------------------------------------------
-
-
-def _canonical_lock(receiver: str, module: str, class_name: Optional[str]) -> str:
-    """File-local canonical id of a lock receiver expression.
-
-    ``self.X`` binds to the enclosing class; everything else is scoped
-    to the module so two files' ``handle.lock`` never merge by accident.
-    """
-    if receiver.startswith("self.") and class_name:
-        return f"{module}.{class_name}.{receiver[5:]}"
-    return f"{module}.{receiver}"
 
 
 def _dotted_parts(func: ast.expr) -> Optional[Tuple[str, ...]]:
@@ -149,16 +116,11 @@ def _dotted_parts(func: ast.expr) -> Optional[Tuple[str, ...]]:
 
 
 class _FunctionWalker(ast.NodeVisitor):
-    """Collect calls / lock regions for one function body (not nested defs)."""
+    """Collect the call records of one function body (not nested defs)."""
 
-    def __init__(self, module: str, class_name: Optional[str], env: Dict[str, Dim]) -> None:
-        self.module = module
-        self.class_name = class_name
+    def __init__(self, env: Dict[str, Dim]) -> None:
         self.env = env
         self.calls: List[CallRecord] = []
-        self.locks_acquired: List[str] = []
-        self.lock_pairs: List[Tuple[str, str, int]] = []
-        self._held: List[str] = []
 
     # Nested scopes run later, elsewhere: never descend.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -170,44 +132,9 @@ class _FunctionWalker(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         return
 
-    def visit_With(self, node: ast.With) -> None:
-        self._with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._with(node)
-
-    def _with(self, node: ast.With | ast.AsyncWith) -> None:
-        acquired: List[str] = []
-        for item in node.items:
-            expr = item.context_expr
-            if _is_lock_expr(expr) and not isinstance(expr, ast.Call):
-                lock = _canonical_lock(_expr_text(expr), self.module, self.class_name)
-                acquired.append(lock)
-            self.visit(expr)
-        for lock in acquired:
-            for outer in self._held:
-                self.lock_pairs.append((outer, lock, node.lineno))
-            self.locks_acquired.append(lock)
-        self._held.extend(acquired)
-        for stmt in node.body:
-            self.visit(stmt)
-        if acquired:
-            del self._held[-len(acquired):]
-
     def visit_Call(self, node: ast.Call) -> None:
         parts = _dotted_parts(node.func)
         if parts is not None:
-            # `.acquire()` on a lock counts as an acquisition too (RL010
-            # polices the release discipline; here we only need ordering).
-            if parts[-1] == "acquire" and isinstance(node.func, ast.Attribute) and _is_lock_expr(
-                node.func.value
-            ):
-                lock = _canonical_lock(
-                    _expr_text(node.func.value), self.module, self.class_name
-                )
-                for outer in self._held:
-                    self.lock_pairs.append((outer, lock, node.lineno))
-                self.locks_acquired.append(lock)
             arg_dims: List[Optional[Dim]] = []
             for arg in node.args:
                 dim = infer_dim(arg, self.env)
@@ -223,8 +150,6 @@ class _FunctionWalker(ast.NodeVisitor):
                     line=node.lineno,
                     col=node.col_offset,
                     parts=parts,
-                    under_locks=tuple(self._held),
-                    blocking=_blocking_reason(node),
                     arg_dims=tuple(arg_dims),
                     kwarg_dims=tuple(kwarg_dims),
                 )
@@ -483,8 +408,7 @@ def summarize_module(tree: ast.Module, rel_path: str, display_path: str) -> Modu
         qualname = (
             f"{decl.name}.{class_name}.{func.name}" if class_name else f"{decl.name}.{func.name}"
         )
-        env_raw = build_env(func)
-        walker = _FunctionWalker(decl.name, class_name, env_raw)
+        walker = _FunctionWalker(build_env(func))
         for stmt in func.body:
             walker.visit(stmt)
         cfg = build_cfg(func)
@@ -493,8 +417,6 @@ def summarize_module(tree: ast.Module, rel_path: str, display_path: str) -> Modu
             module=decl.name,
             line=func.lineno,
             calls=walker.calls,
-            locks_acquired=tuple(dict.fromkeys(walker.locks_acquired)),
-            lock_pairs=tuple(walker.lock_pairs),
             grant_leaks=_prove_grants(func, cfg),
             param_dims=_param_dims(func),
         )

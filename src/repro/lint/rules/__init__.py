@@ -90,4 +90,4 @@ class Rule:
 
 # Imported for their registration side effects (must follow Rule's
 # definition — all modules subclass it).
-from . import concurrency, domain, observability, whole_program  # noqa: E402,F401
+from . import concurrency, domain, whole_program  # noqa: E402,F401

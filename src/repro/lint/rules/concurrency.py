@@ -1,15 +1,9 @@
-"""Concurrency rules: lock hygiene and trace-context propagation.
+"""Concurrency rules: trace-context propagation and bounded waits/queues.
 
-The serving stack (server handler threads, deadline worker threads,
-journal lock) grew across PRs 1–4; these rules encode the disciplines
-those PRs converged on:
+The serving stack (server handler threads, deadline worker threads, the
+cluster's worker processes and queues) relies on three disciplines that
+nothing but these rules enforces:
 
-* a lock acquired outside ``with`` must be released in a ``finally``
-  (RL010) — an exception between ``acquire`` and ``release`` deadlocks
-  every other handler thread;
-* blocking work (fsync, solver entry points, sleeps, network I/O) does
-  not belong inside a ``with lock:`` body (RL011) — it turns a
-  microsecond critical section into a convoy;
 * a ``threading.Thread`` target must carry the ambient context (RL012)
   — ``ContextVar``\\ s do not cross thread starts, so a bare target
   silently drops the active trace id and telemetry collector (the PR 4
@@ -30,7 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import Rule
 from ..finding import Severity
@@ -41,15 +35,10 @@ if TYPE_CHECKING:
     from ..finding import Finding
 
 __all__ = [
-    "LockAcquireRule",
-    "BlockingUnderLockRule",
     "ThreadContextRule",
     "UnboundedClusterWaitRule",
     "UnboundedQueueRule",
 ]
-
-#: Receiver names treated as locks (``self._lock``, ``journal_lock`` ...).
-_LOCK_NAME = re.compile(r"lock|mutex|semaphore|\bsem\b", re.IGNORECASE)
 
 
 def _expr_text(node: ast.expr) -> str:
@@ -58,195 +47,6 @@ def _expr_text(node: ast.expr) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover — unparse is total on valid trees
         return "<expr>"
-
-
-def _is_lock_expr(node: ast.expr) -> bool:
-    """Heuristic: does this expression denote a lock?"""
-    if isinstance(node, ast.Call):
-        # Direct `with threading.Lock():` (anonymous lock) — still a lock.
-        return _is_lock_expr(node.func)
-    if isinstance(node, ast.Attribute):
-        return bool(_LOCK_NAME.search(node.attr)) or _is_lock_expr(node.value)
-    if isinstance(node, ast.Name):
-        return bool(_LOCK_NAME.search(node.id))
-    return False
-
-
-# -- RL010: acquire without with / try-finally ---------------------------------
-
-
-@register_rule
-class LockAcquireRule(Rule):
-    """RL010 — a bare ``.acquire()`` leaks the lock on the first exception."""
-
-    code = "RL010"
-    name = "lock-acquire-without-release-guard"
-    rationale = (
-        "lock.acquire() followed by code that can raise leaves the lock held "
-        "forever — every other handler thread then blocks on its next "
-        "request.  Use `with lock:` or put the release in a try/finally "
-        "whose try begins immediately after the acquire."
-    )
-    severity = Severity.ERROR
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: "LintContext") -> Iterator[Finding]:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "acquire"):
-            return
-        if not _is_lock_expr(func.value):
-            return
-        receiver = _expr_text(func.value)
-        if self._guarded(node, ctx, receiver):
-            return
-        yield self.finding(
-            ctx,
-            node,
-            f"{receiver}.acquire() without `with {receiver}:` or a "
-            f"try/finally releasing it",
-        )
-
-    def _guarded(self, node: ast.Call, ctx: "LintContext", receiver: str) -> bool:
-        """Accept ``with``-items and acquire-then-try/finally-release shapes."""
-        statement: Optional[ast.stmt] = None
-        for anc in ctx.ancestors(node):
-            if isinstance(anc, ast.withitem):
-                return True
-            if statement is None and isinstance(anc, ast.stmt):
-                statement = anc
-            if isinstance(anc, ast.Try) and _releases(anc.finalbody, receiver):
-                return True
-        if statement is None:
-            return False
-        # The canonical `lock.acquire()` immediately followed by
-        # `try: ... finally: lock.release()` as the *next* statement.
-        parent = ctx.parent(statement)
-        for field in ("body", "orelse", "finalbody"):
-            siblings = getattr(parent, field, None)
-            if siblings and statement in siblings:
-                index = siblings.index(statement)
-                if index + 1 < len(siblings):
-                    nxt = siblings[index + 1]
-                    if isinstance(nxt, ast.Try) and _releases(nxt.finalbody, receiver):
-                        return True
-        return False
-
-
-def _releases(statements: Sequence[ast.stmt], receiver: str) -> bool:
-    """Does any statement call ``<receiver>.release()``?"""
-    for stmt in statements:
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "release"
-                and _expr_text(sub.func.value) == receiver
-            ):
-                return True
-    return False
-
-
-# -- RL011: blocking calls inside a lock body ----------------------------------
-
-#: Dotted call names that block (I/O, sleeps, subprocesses, sockets).
-_BLOCKING_DOTTED = {
-    "os.fsync",
-    "time.sleep",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "socket.create_connection",
-}
-
-#: Bare function names that block (module-level helpers of this repo + stdlib).
-_BLOCKING_NAMES = {
-    "urlopen",
-    "fsync_directory",
-    "atomic_write",
-    "solve_fractional",
-    "solve_lp_relaxation",
-    "solve_lp_with_duals",
-    "solve_mip",
-    "run_with_deadline",
-    "sleep",
-}
-
-#: Method names that block on *any* receiver (solver entry points, fsync).
-_BLOCKING_METHODS = {"fsync", "solve", "solve_with_info", "communicate"}
-
-#: Durability-surface methods that fsync, matched with their receiver.
-_DURABLE_RECEIVER = re.compile(r"journal|snapshot", re.IGNORECASE)
-_DURABLE_METHODS = {"append", "save", "rotate", "sync", "close"}
-
-
-def _blocking_reason(call: ast.Call) -> Optional[str]:
-    """Why a call counts as blocking, or ``None``."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        if func.id in _BLOCKING_NAMES:
-            return f"{func.id}()"
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    dotted = _expr_text(func)
-    if dotted in _BLOCKING_DOTTED:
-        return f"{dotted}()"
-    if func.attr in _BLOCKING_METHODS:
-        return f".{func.attr}()"
-    if func.attr in _DURABLE_METHODS and _DURABLE_RECEIVER.search(_expr_text(func.value)):
-        return f"{_expr_text(func.value)}.{func.attr}() (fsyncs)"
-    return None
-
-
-@register_rule
-class BlockingUnderLockRule(Rule):
-    """RL011 — fsync/solve/sleep/socket I/O inside ``with lock:`` convoys."""
-
-    code = "RL011"
-    name = "blocking-call-under-lock"
-    rationale = (
-        "A lock held across an fsync (~ms), a solver call (~s) or network "
-        "I/O serialises every other thread behind the slowest disk flush — "
-        "the classic lock convoy.  Compute outside, publish under the lock. "
-        "When the serialisation IS the point (a strictly-ordered energy "
-        "ledger), say so with `# repro: noqa[RL011]` and a comment."
-    )
-    severity = Severity.ERROR
-    node_types = (ast.With,)
-
-    def visit(self, node: ast.With, ctx: "LintContext") -> Iterator[Finding]:
-        if not any(_is_lock_expr(item.context_expr) for item in node.items):
-            return
-        lock_text = next(
-            _expr_text(item.context_expr)
-            for item in node.items
-            if _is_lock_expr(item.context_expr)
-        )
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Call) and not _in_nested_scope(sub, node, ctx):
-                    reason = _blocking_reason(sub)
-                    if reason is not None:
-                        yield self.finding(
-                            ctx,
-                            sub,
-                            f"blocking call {reason} inside `with {lock_text}:`; "
-                            f"move it outside the critical section",
-                        )
-
-
-def _in_nested_scope(node: ast.AST, stop: ast.AST, ctx: "LintContext") -> bool:
-    """True when ``node`` sits in a def/lambda nested inside ``stop``.
-
-    Such code merely gets *defined* under the lock; it runs later.
-    """
-    for anc in ctx.ancestors(node):
-        if anc is stop:
-            return False
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return True
-    return False
 
 
 # -- RL012: thread targets that drop the trace context -------------------------

@@ -1,13 +1,10 @@
-"""Whole-program rules: lock cycles, grant leaks, units, transitive blocking.
+"""Whole-program rules: energy-grant leaks and cross-call units.
 
 These rules consume the :class:`~repro.lint.flow.program.Program` the
 engine joins on every run — they see every analysed file's
 summaries at once, so they catch exactly the bug classes a one-file AST
 walk cannot:
 
-* **RL016** — a cycle in the cross-module lock-order graph.  Thread 1
-  takes A then (through any call chain) B while thread 2 takes B then
-  A: a deadlock that no single file contains.
 * **RL017** — an ``EnergyLeaseLedger`` grant that can miss its
   ``commit()``/``release()`` on some CFG path.  Every leaked grant is
   headroom the ledger believes is still spoken for — the budget
@@ -18,14 +15,9 @@ walk cannot:
 * **RL018** — a unit-dimension error *across* a call boundary: the
   caller passes seconds into a parameter named ``budget`` (joules).
   RL001 checks expressions; this rule checks signatures.
-* **RL019** — blocking work reached *transitively* from a lock-held
-  region.  RL011 flags ``fsync`` under ``with lock:`` in the same
-  file; this rule flags ``with lock: self._flush()`` where ``_flush``
-  (or anything it calls, bounded depth) fsyncs.
 
-All four are scoped to production sources (``tests/`` excluded): tests
-exercise the ledger API half-settled on purpose, and their helper
-locks/queues model failures rather than serve requests.
+Both are scoped to production sources (``tests/`` excluded): tests
+exercise the ledger API half-settled on purpose.
 """
 
 from __future__ import annotations
@@ -40,62 +32,9 @@ if TYPE_CHECKING:
     from ..finding import Finding
     from ..flow.program import Program
 
-__all__ = [
-    "LockOrderCycleRule",
-    "GrantLeakRule",
-    "InterproceduralUnitsRule",
-    "TransitiveBlockingRule",
-]
+__all__ = ["GrantLeakRule", "InterproceduralUnitsRule"]
 
 _TEST_EXCLUDES = ("tests/*", "*/tests/*", "test_*", "*/test_*")
-
-
-def _short(lock: str) -> str:
-    """A readable lock label: last three dotted components."""
-    return ".".join(lock.split(".")[-3:])
-
-
-@register_rule
-class LockOrderCycleRule(Rule):
-    """RL016 — the program's lock-order graph must be acyclic."""
-
-    code = "RL016"
-    name = "lock-order-cycle"
-    rationale = (
-        "Two threads acquiring the same pair of locks in opposite orders "
-        "deadlock the moment their critical sections overlap — and the two "
-        "orders almost never sit in one file (frontend holds its handle "
-        "lock while the ledger takes its own; a ledger callback reaching "
-        "back into the frontend closes the loop).  The whole-program lock "
-        "graph — nodes are canonical lock ids, an edge A→B means B is "
-        "acquired (possibly through calls) while A is held — must stay "
-        "acyclic; a reentrant self-loop on a non-reentrant Lock is the "
-        "same bug with one thread."
-    )
-    severity = Severity.ERROR
-    whole_program = True
-    exclude = _TEST_EXCLUDES
-
-    def visit_program(self, program: "Program") -> Iterator["Finding"]:
-        for cycle in program.lock_cycles():
-            witness = cycle.edges[0]
-            display, rel = program.location(witness.function)
-            if not self.applies_to(rel):
-                continue
-            order = " -> ".join(_short(lock) for lock in (*cycle.locks, cycle.locks[0]))
-            sites = "; ".join(
-                f"{_short(e.outer)} held while acquiring {_short(e.inner)} in "
-                f"{e.function.rsplit('.', 1)[-1]}()"
-                + (f" via {e.via.rsplit('.', 1)[-1]}()" if e.via else "")
-                for e in cycle.edges
-            )
-            yield self.program_finding(
-                display,
-                witness.line,
-                0,
-                f"lock-order cycle {order}: {sites} — acquire these locks in "
-                f"one global order (or merge the critical sections)",
-            )
 
 
 @register_rule
@@ -181,41 +120,4 @@ class InterproceduralUnitsRule(Rule):
                 f"{mismatch.arg_label} of {callee_name}() is "
                 f"{dim_name(mismatch.arg_dim)} but parameter "
                 f"{mismatch.param!r} expects {dim_name(mismatch.param_dim)}",
-            )
-
-
-@register_rule
-class TransitiveBlockingRule(Rule):
-    """RL019 — a callee that blocks is still blocking under the caller's lock."""
-
-    code = "RL019"
-    name = "transitive-blocking-under-lock"
-    rationale = (
-        "Moving an fsync into a helper does not un-convoy the lock that is "
-        "held while the helper runs — it just moves the blocking call out "
-        "of RL011's single-file sight.  This rule follows the call graph "
-        "(bounded depth) from every call made inside `with lock:` and "
-        "flags lock-held call chains that end in fsync/solve/sleep/network "
-        "I/O.  The fix is the same as RL011's: compute outside, publish "
-        "under the lock — or justify the serialisation with a noqa."
-    )
-    severity = Severity.ERROR
-    whole_program = True
-    exclude = _TEST_EXCLUDES
-
-    def visit_program(self, program: "Program") -> Iterator["Finding"]:
-        for chain in program.blocking_under_lock():
-            display, rel = program.location(chain.caller)
-            if not self.applies_to(rel):
-                continue
-            path = " -> ".join(
-                q.rsplit(".", 1)[-1] + "()" for q in (chain.caller, *chain.chain)
-            )
-            yield self.program_finding(
-                display,
-                chain.record.line,
-                chain.record.col,
-                f"call chain {path} blocks ({chain.reason}) while "
-                f"{_short(chain.locks[-1])} is held — move the blocking work "
-                f"outside the critical section",
             )

@@ -1,4 +1,4 @@
-"""Per-line suppression: ``# repro: noqa`` and ``# repro: noqa[RL001,RL010]``.
+"""Per-line suppression: ``# repro: noqa`` and ``# repro: noqa[RL001,RL013]``.
 
 Suppressions are deliberate, auditable exceptions — the syntax is
 namespaced (``repro:``) so it cannot collide with flake8/ruff ``noqa``

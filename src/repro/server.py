@@ -48,7 +48,7 @@ from urllib.parse import parse_qs, urlparse
 
 from . import __version__
 from .algorithms.registry import available_schedulers
-from .cluster.solve_service import SolveService, SolveServiceConfig, solve_payload
+from .cluster.solve_service import SolveService, SolveServiceConfig, read_json_body, solve_payload
 from .core.serialization import instance_from_dict
 from .observe.slo import SLOSpec, evaluate
 from .observe.tracing import to_trace_events, trace_spans, valid_trace_id
@@ -91,11 +91,11 @@ def _journal_solve(server, scheduler_name: str, energy: float, trace_id: Optiona
             record["trace_id"] = trace_id
         # The fsync under the lock is deliberate: cum_energy must be
         # strictly ordered in the ledger, so appends serialise here.
-        journal.append(record)  # repro: noqa[RL011]
+        journal.append(record)
         server.solves_since_snapshot += 1
         if server.snapshot_every > 0 and server.solves_since_snapshot >= server.snapshot_every:
             # Snapshot under the same lock: it must capture a settled ledger.
-            server.snapshots.save(  # repro: noqa[RL011]
+            server.snapshots.save(
                 {
                     "meta": {"kind": "server"},
                     "windows": [],
@@ -213,9 +213,7 @@ class _Handler(BaseHTTPRequestHandler):
         query = parse_qs(parsed.query)
         name = query.get("scheduler", ["approx"])[0]
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
-            data = json.loads(raw.decode())
+            data = read_json_body(self.headers, self.rfile)
         except (ValueError, UnicodeDecodeError) as exc:
             tele.counter("server_errors_total", status="400").inc()
             self._send_error_json(f"invalid JSON body: {exc}", 400)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -80,3 +82,21 @@ def tasks():
 @pytest.fixture
 def instance():
     return make_instance()
+
+
+def post_status_with_content_length(port, content_length, timeout=5.0):
+    """Status code of a raw ``POST /solve`` that never closes its socket.
+
+    The declared ``Content-Length`` is sent as given and no body
+    follows, so a server that waits for the client to hang up never
+    answers: ``recv`` times out instead of returning a status line.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(
+            (
+                "POST /solve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Length: {content_length}\r\n\r\n"
+            ).encode()
+        )
+        status_line = sock.recv(4096).split(b"\r\n", 1)[0]
+    return int(status_line.split()[1])

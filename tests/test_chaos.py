@@ -322,6 +322,43 @@ def test_campaign_certifies_under_faults(tmp_path):
     assert report_dict["seed"] == 1
 
 
+class _LossyManager:
+    """A stand-in cluster: one request gets a 500, one submit raises."""
+
+    def __init__(self, config, injector=None):
+        self.ledger = EnergyLeaseLedger(config.budget, config.shard_ids())
+        self.telemetry = MetricsRegistry()
+
+    def start(self):
+        return self
+
+    def submit(self, scheduler, doc, *, trace_id, timeout):
+        index = int(trace_id[8:], 16)
+        if index == 3:
+            return {"status": 500, "error": "internal error: reply dropped"}
+        if index == 5:
+            raise ConnectionResetError("worker pipe closed")
+        return {"status": 200}
+
+    def health(self):
+        return {"restarts": {}}
+
+    def stop(self):
+        pass
+
+
+def test_liveness_violation_names_each_unresolved_request(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.cluster.frontend.ClusterManager", _LossyManager)
+    report = run_campaign(7, tmp_path, requests=8, n_events=1, max_op=4)
+    (liveness,) = [v for v in report.violations if "accepted requests resolved" in v]
+    assert report.statuses == {200: 6, 500: 1, -1: 1}
+    assert "request 3 (trace 0000000700000003): 500 internal error: reply dropped" in liveness
+    assert (
+        "request 5 (trace 0000000700000005): raised ConnectionResetError: worker pipe closed"
+        in liveness
+    )
+
+
 def test_schedule_covers_all_kinds():
     # Across a spread of seeds the generator exercises the whole taxonomy.
     seen = set()

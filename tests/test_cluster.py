@@ -37,7 +37,7 @@ from repro.observe.tracing import trace_spans
 from repro.resilience.fallback import FallbackChain
 from repro.utils.errors import ValidationError
 
-from conftest import make_instance
+from conftest import make_instance, post_status_with_content_length
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -292,6 +292,42 @@ def test_batcher_coalesces_arrivals_while_a_window_is_in_flight():
         batcher.close(drain=False)
 
 
+def test_batcher_close_hands_queued_items_to_on_undispatched():
+    batcher, windows = _recording_batcher()
+    batcher.submit("in flight")
+    windows.get(timeout=5.0)
+    queued = [batcher.submit(item) for item in ("a", "b")]
+    _wait_until_parked(batcher)
+    handed = []
+    batcher.close(drain=False, on_undispatched=lambda item, pending: handed.append((item, pending)))
+    assert [item for item, _ in handed] == ["a", "b"]
+    assert [pending for _, pending in handed] == queued
+    assert not any(pending.done for pending in queued)  # the callback owns them now
+
+
+def test_shard_death_retries_requests_queued_behind_its_window():
+    # A request queued on a shard when its worker dies is re-routed like
+    # the dead window's orphans: it must not fail with "batcher closed".
+    manager = ClusterManager(ClusterConfig(shards=2, supervise=True, max_retries=2))
+    handle = manager._handles["shard-00"]
+    survivor = manager._handles["shard-01"]
+    batcher, windows = _recording_batcher()
+    survivor_batcher, survivor_windows = _recording_batcher(settle=True)
+    handle.batcher, handle.alive = batcher, True
+    survivor.batcher, survivor.alive = survivor_batcher, True
+    try:
+        batcher.submit({"trace_id": "t-in-flight"})
+        windows.get(timeout=5.0)
+        item = {"trace_id": "t-queued"}
+        pending = batcher.submit(item)
+        _wait_until_parked(batcher)
+        manager._shard_died(handle)
+        assert pending.wait(5.0) is item  # solved by the surviving shard
+        assert item["_attempts"] == 1
+    finally:
+        survivor_batcher.close(drain=False)
+
+
 def test_batcher_wait_cap_releases_the_next_window_behind_a_stuck_one():
     batcher, windows = _recording_batcher(max_wait_seconds=0.05)
     try:
@@ -495,6 +531,14 @@ def test_cluster_rejects_garbage(cluster_env):
     assert excinfo.value.code == 400
     status, _ = _get(base, "/nope")
     assert status == 404
+
+
+def test_cluster_rejects_negative_content_length(cluster_env):
+    # rfile.read(-1) would read to EOF: the handler must refuse the length
+    # instead of waiting for a client that never hangs up.
+    _, base, _, _ = cluster_env
+    port = int(base.rsplit(":", 1)[1])
+    assert post_status_with_content_length(port, -1) == 400
 
 
 def test_trace_id_spans_frontend_worker_and_journal(cluster_env):

@@ -10,7 +10,7 @@ import pytest
 from repro.core import instance_to_dict, schedule_from_dict
 from repro.server import make_server
 
-from conftest import make_instance
+from conftest import make_instance, post_status_with_content_length
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,12 @@ class TestSolve:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
+
+    def test_negative_content_length_400(self, base_url):
+        # rfile.read(-1) would read to EOF: the handler must refuse the
+        # length instead of waiting for a client that never hangs up.
+        port = int(base_url.rsplit(":", 1)[1])
+        assert post_status_with_content_length(port, -1) == 400
 
     def test_bad_document_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as err:
