@@ -102,12 +102,7 @@ class ApproxScheduler(Scheduler):
             self.name = "DSCT-EA-APPROX-NAIVE"
 
     def solve(self, instance: ProblemInstance) -> Schedule:
-        tele = get_collector()
-        with tele.span("approx.solve"):
-            fractional, _ = solve_fractional(instance, refine=self.refine)
-            schedule = round_fractional(instance, fractional)
-        tele.counter("solver_runs_total", solver="approx").inc()
-        return schedule
+        return self.solve_with_info(instance).schedule
 
     def solve_with_info(self, instance: ProblemInstance) -> SolveResult:
         tele = get_collector()

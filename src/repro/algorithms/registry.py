@@ -46,6 +46,7 @@ def _register_builtins() -> None:
     from ..baselines.greedy import GreedyEnergyScheduler
     from ..baselines.no_compression import EDFNoCompressionScheduler
     from ..baselines.random_assign import RandomAssignScheduler
+    from ..exact.discrete_mip import DiscreteLevelsMIPScheduler
     from ..exact.lp import LPFractionalScheduler
     from ..exact.mip import MIPScheduler
     from .approx import ApproxScheduler
@@ -61,14 +62,7 @@ def _register_builtins() -> None:
     register("greedy-energy", GreedyEnergyScheduler)
     register("random", RandomAssignScheduler)
 
-    from ..exact.discrete_mip import DiscreteLevelsMIPScheduler
-    from ..extensions.consolidation import ConsolidatingScheduler
-
-    from ..baselines.genetic import GeneticScheduler
-
-    register("genetic", GeneticScheduler)
     register("discrete-mip", DiscreteLevelsMIPScheduler)
-    register("consolidated", ConsolidatingScheduler)
 
     from ..resilience.fallback import FallbackChain
 

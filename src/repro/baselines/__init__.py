@@ -2,7 +2,6 @@
 
 from .discrete_levels import PAPER_LEVELS, EDFDiscreteLevelsScheduler
 from .edf import PlacementState, least_loaded_machine
-from .genetic import GeneticScheduler, solve_fixed_assignment
 from .greedy import GreedyEnergyScheduler
 from .no_compression import EDFNoCompressionScheduler
 from .random_assign import RandomAssignScheduler
@@ -12,8 +11,6 @@ __all__ = [
     "EDFDiscreteLevelsScheduler",
     "PAPER_LEVELS",
     "GreedyEnergyScheduler",
-    "GeneticScheduler",
-    "solve_fixed_assignment",
     "RandomAssignScheduler",
     "PlacementState",
     "least_loaded_machine",

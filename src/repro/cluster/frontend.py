@@ -56,7 +56,7 @@ from ..utils.validation import check_positive, require
 from .batcher import PendingResult, QueueFullError, WindowBatcher
 from .ledger import EnergyLeaseLedger
 from .router import ConsistentHashRouter
-from .solve_service import read_json_body
+from .solve_service import BODY_READ_TIMEOUT_SECONDS, read_json_body
 from .supervisor import ShardSupervisor
 from .worker import WorkerConfig, worker_main
 
@@ -1101,6 +1101,7 @@ class ClusterManager:
 
 class _ClusterHandler(BaseHTTPRequestHandler):
     server_version = f"repro-cluster/{_pkg_version}"
+    timeout = BODY_READ_TIMEOUT_SECONDS
     _trace_id: Optional[str] = None
 
     @property
@@ -1191,6 +1192,12 @@ class _ClusterHandler(BaseHTTPRequestHandler):
                     return
             try:
                 data = read_json_body(self.headers, self.rfile)
+            except TimeoutError:
+                manager.telemetry.counter("frontend_errors_total", status="408").inc()
+                # The stream stopped mid-body: never reuse this connection.
+                self.close_connection = True
+                self._send_json({"error": "request body incomplete"}, 408)
+                return
             except (ValueError, UnicodeDecodeError) as exc:
                 manager.telemetry.counter("frontend_errors_total", status="400").inc()
                 self._send_json({"error": f"invalid JSON body: {exc}"}, 400)

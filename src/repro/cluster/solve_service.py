@@ -23,7 +23,19 @@ from ..core.instance import ProblemInstance
 from ..core.serialization import schedule_to_dict
 from ..resilience.fallback import FallbackChain, run_with_deadline
 
-__all__ = ["SolveServiceConfig", "SolveService", "solve_payload", "read_json_body"]
+__all__ = [
+    "SolveServiceConfig",
+    "SolveService",
+    "solve_payload",
+    "read_json_body",
+    "BODY_READ_TIMEOUT_SECONDS",
+]
+
+#: Socket timeout of both HTTP front-ends' handlers (their ``timeout``
+#: attribute).  A client that declares more ``Content-Length`` than it
+#: sends gets a 408 once a read stalls this long, instead of holding the
+#: handler thread until it hangs up.
+BODY_READ_TIMEOUT_SECONDS = 2.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,9 @@ def read_json_body(headers: Mapping[str, str], rfile: IO[bytes]) -> Any:
     Raises ``ValueError`` for a malformed or negative ``Content-Length``
     and for a body that is not UTF-8 JSON.  A negative length must be
     refused before the read: ``rfile.read(-1)`` reads to EOF, which
-    blocks the handler thread until the client hangs up.
+    blocks the handler thread until the client hangs up.  A body shorter
+    than its declared length raises ``TimeoutError`` once the socket's
+    timeout (:data:`BODY_READ_TIMEOUT_SECONDS`) expires.
     """
     length = int(headers.get("Content-Length", "0"))
     if length < 0:

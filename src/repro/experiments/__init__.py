@@ -21,24 +21,20 @@ study                       driver
 RefineProfile value         :func:`run_refine_ablation`
 segment count K             :func:`run_segments_ablation`
 deadline tolerance ρ        :func:`run_rho_sweep`
-DVFS operating points       :func:`run_dvfs_ablation`
 idle power                  :func:`run_idle_power_ablation`
 discrete-level value        :func:`run_discrete_value`
-GA metaheuristic trade-off  :func:`run_ga_tradeoff`
 method matrix               :func:`run_method_matrix`
-Pareto frontiers            :func:`run_pareto`
 failure robustness          :func:`run_outage_sweep` / :func:`run_slowdown_sweep`
 θ misestimation             :func:`run_theta_sensitivity`
 full report                 :func:`generate_report` / :func:`write_report`
 ==========================  ==============================================
 
-Plumbing: :class:`ResultTable`, :func:`run_sweep`, :func:`parallel_map`,
+Plumbing: :class:`ResultTable`, :func:`run_sweep`,
 :func:`ascii_plot` / :func:`plot_table`.
 """
 
 from .ablations import (
     AblationConfig,
-    run_dvfs_ablation,
     run_rho_sweep,
     run_idle_power_ablation,
     run_refine_ablation,
@@ -52,10 +48,7 @@ from .fig3_optimality_gap import Fig3Config, run_fig3
 from .fig4_runtime import Fig4Config, run_fig4_machines, run_fig4_tasks
 from .fig5_energy_budget import Fig5Config, run_fig5
 from .fig6_energy_profiles import Fig6Config, run_fig6
-from .ga_tradeoff import GATradeoffConfig, run_ga_tradeoff
 from .method_matrix import MethodMatrixConfig, run_method_matrix
-from .parallel import parallel_map, seeded_items
-from .pareto import ParetoConfig, frontier_area, run_pareto
 from .plots import ascii_plot, plot_table
 from .records import ResultTable
 from .report import ReportConfig, generate_report, write_report
@@ -85,15 +78,8 @@ __all__ = [
     "write_report",
     "DiscreteValueConfig",
     "run_discrete_value",
-    "ParetoConfig",
-    "run_pareto",
-    "frontier_area",
     "MethodMatrixConfig",
     "run_method_matrix",
-    "GATradeoffConfig",
-    "run_ga_tradeoff",
-    "parallel_map",
-    "seeded_items",
     "run_fig1",
     "run_fig2",
     "Fig3Config",
@@ -114,6 +100,5 @@ __all__ = [
     "run_refine_ablation",
     "run_segments_ablation",
     "run_idle_power_ablation",
-    "run_dvfs_ablation",
     "run_rho_sweep",
 ]

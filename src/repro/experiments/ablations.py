@@ -34,7 +34,6 @@ __all__ = [
     "run_refine_ablation",
     "run_segments_ablation",
     "run_rho_sweep",
-    "run_dvfs_ablation",
     "run_idle_power_ablation",
 ]
 
@@ -159,42 +158,6 @@ def run_rho_sweep(
             nc.append(nocomp.solve(inst).mean_accuracy)
         table.add_row(float(rho), float(np.mean(u)), float(np.mean(a)), float(np.mean(nc)))
     table.notes.append("tight ρ: deadlines bind; loose ρ: the budget binds and accuracy saturates")
-    return table
-
-
-def run_dvfs_ablation(
-    config: AblationConfig = AblationConfig(),
-    betas: Sequence[float] = (0.15, 0.3, 0.5),
-) -> ResultTable:
-    """What DVFS operating points buy under tight budgets (extension).
-
-    Compares plain DSCT-EA-APPROX against the DVFS-aware wrapper that
-    may down-clock machines (cubic power law) to stretch the budget.
-    """
-    from ..extensions.dvfs import DVFSScheduler
-
-    table = ResultTable(
-        title="Ablation — DVFS operating points vs fixed full speed",
-        columns=["beta", "approx_acc", "dvfs_acc", "gain_points", "mean_speed_scale"],
-    )
-    approx = ApproxScheduler()
-    dvfs = DVFSScheduler()
-    for beta in betas:
-        plain_a, dvfs_a, scales = [], [], []
-        for rng in spawn(config.seed, config.repetitions):
-            inst = budget_sweep_instance(float(beta), n=config.n, m=2, seed=rng)
-            plain_a.append(approx.solve(inst).mean_accuracy)
-            result = dvfs.solve_with_info(inst)
-            dvfs_a.append(result.schedule.mean_accuracy)
-            scales.extend(p["speed_scale"] for p in result.info.extra["operating_points"])
-        table.add_row(
-            float(beta),
-            float(np.mean(plain_a)),
-            float(np.mean(dvfs_a)),
-            100.0 * float(np.mean(dvfs_a) - np.mean(plain_a)),
-            float(np.mean(scales)),
-        )
-    table.notes.append("tight budgets reward down-clocking (cubic power law); loose ones do not")
     return table
 
 

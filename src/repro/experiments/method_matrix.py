@@ -29,7 +29,6 @@ _DEFAULT_METHODS = (
     "edf-nocompression",
     "greedy-energy",
     "random",
-    "consolidated",
 )
 
 

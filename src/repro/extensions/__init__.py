@@ -1,38 +1,10 @@
-"""Extensions implementing the paper's stated future work (§7)."""
+"""Renewable energy budgets: the extension the paper names as future work (§7)."""
 
-from .carbon import (
-    CarbonIntensityCurve,
-    duck_curve_grid,
-    flat_grid,
-    report_carbon,
-    schedule_carbon,
-)
-from .communication import CommAwareScheduler, CommunicationModel, communication_energy
-from .consolidation import ConsolidatingScheduler
-from .dvfs import DVFSScheduler, OperatingPoint, dvfs_curve
-from .pricing import cheapest_budget_for_accuracy, cheapest_cost_for_accuracy
 from .renewable import EpochOutcome, RenewablePlanner, RenewableReport, solar_curve
-from .weighted import weighted_instance, weighted_total_accuracy
 
 __all__ = [
-    "CarbonIntensityCurve",
-    "flat_grid",
-    "duck_curve_grid",
-    "schedule_carbon",
-    "report_carbon",
-    "CommunicationModel",
-    "communication_energy",
-    "CommAwareScheduler",
-    "ConsolidatingScheduler",
-    "DVFSScheduler",
-    "OperatingPoint",
-    "dvfs_curve",
-    "cheapest_budget_for_accuracy",
-    "cheapest_cost_for_accuracy",
     "solar_curve",
     "RenewablePlanner",
     "RenewableReport",
     "EpochOutcome",
-    "weighted_instance",
-    "weighted_total_accuracy",
 ]

@@ -20,7 +20,8 @@ The summaries are then joined into a
 its own module — and each ``whole_program`` rule (RL017, RL018) runs
 once over the join.  Findings on a line carrying a matching suppression
 comment are dropped, and the rest come back sorted by location, so
-output is deterministic.
+output is deterministic.  A suppression naming no registered rule is an
+``RL000`` finding of its own.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class LintEngine:
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
         self.rules = all_rules(select, ignore)
+        #: Every registered code, selected or not: what a ``noqa`` may name.
+        self.known_codes = frozenset(rule.code for rule in all_rules())
 
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
         """Findings for one in-memory source (the test-fixture entry point)."""
@@ -134,6 +137,10 @@ class LintEngine:
             rel = _normalise(display)
             suppression = SuppressionIndex.from_source(source)
             suppressions[display] = suppression
+            findings.extend(
+                _rl000(display, line, 0, f"suppression names unknown rule {code}")
+                for line, code in suppression.unknown_codes(self.known_codes)
+            )
             ctx = LintContext(source, tree, display_path=display, rel_path=rel)
             findings.extend(
                 f for f in self._walk(ctx) if not suppression.is_suppressed(f.line, f.code)
@@ -165,7 +172,7 @@ class LintEngine:
 
 
 def _rl000(path: str, line: int, col: int, message: str) -> Finding:
-    """The finding for a file the analyzer cannot read or parse."""
+    """The finding for a file the analyzer cannot read or parse, or a stale ``noqa``."""
     return Finding(
         path=path, line=line, col=col, code="RL000", message=message, severity=Severity.ERROR
     )

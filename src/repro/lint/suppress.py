@@ -8,6 +8,10 @@ noqa`` silences *every* rule on the line and should be rare.
 A suppression applies to the *logical* line the violation is reported
 on.  For multi-line statements put the comment on the line the rule
 flags (the line of the offending expression, which :mod:`ast` reports).
+
+A bracketed code that names no registered rule is itself reported (as
+``RL000``): a marker left behind by a deleted rule would otherwise stay
+silently valid and hide whatever a later rule of that code flags.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import re
 import tokenize
 from io import StringIO
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["SuppressionIndex", "NOQA_PATTERN"]
 
@@ -65,6 +69,15 @@ class SuppressionIndex:
         if codes is None:
             return False
         return codes is _ALL or "*" in codes or code.upper() in codes
+
+    def unknown_codes(self, known: Iterable[str]) -> List[Tuple[int, str]]:
+        """``(line, code)`` for every bracketed code not in ``known``, in order."""
+        allowed = frozenset(known) | _ALL
+        return [
+            (line, code)
+            for line, codes in sorted(self._line_codes.items())
+            for code in sorted(codes - allowed)
+        ]
 
 
 def _parse_comment(text: str) -> Optional[FrozenSet[str]]:

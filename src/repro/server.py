@@ -48,7 +48,13 @@ from urllib.parse import parse_qs, urlparse
 
 from . import __version__
 from .algorithms.registry import available_schedulers
-from .cluster.solve_service import SolveService, SolveServiceConfig, read_json_body, solve_payload
+from .cluster.solve_service import (
+    BODY_READ_TIMEOUT_SECONDS,
+    SolveService,
+    SolveServiceConfig,
+    read_json_body,
+    solve_payload,
+)
 from .core.serialization import instance_from_dict
 from .observe.slo import SLOSpec, evaluate
 from .observe.tracing import to_trace_events, trace_spans, valid_trace_id
@@ -109,6 +115,7 @@ def _journal_solve(server, scheduler_name: str, energy: float, trace_id: Optiona
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro/{__version__}"
+    timeout = BODY_READ_TIMEOUT_SECONDS
 
     # -- helpers ---------------------------------------------------------------
 
@@ -214,6 +221,12 @@ class _Handler(BaseHTTPRequestHandler):
         name = query.get("scheduler", ["approx"])[0]
         try:
             data = read_json_body(self.headers, self.rfile)
+        except TimeoutError:
+            tele.counter("server_errors_total", status="408").inc()
+            # The stream stopped mid-body: never reuse this connection.
+            self.close_connection = True
+            self._send_error_json("request body incomplete", 408)
+            return
         except (ValueError, UnicodeDecodeError) as exc:
             tele.counter("server_errors_total", status="400").inc()
             self._send_error_json(f"invalid JSON body: {exc}", 400)

@@ -1,12 +1,6 @@
 """Workload substrate: task-set generators, paper scenarios, arrival processes."""
 
 from .arrivals import MMPPArrivals, PoissonArrivals, Request, window_batches
-from .distributions import (
-    DistributionalConfig,
-    available_distributions,
-    generate_distributional_tasks,
-    sample_distribution,
-)
 from .generator import (
     PAPER_A_MAX,
     PAPER_A_MIN,
@@ -47,10 +41,6 @@ __all__ = [
     "generate_diurnal_trace",
     "save_trace",
     "load_trace",
-    "DistributionalConfig",
-    "available_distributions",
-    "sample_distribution",
-    "generate_distributional_tasks",
     "PoissonArrivals",
     "MMPPArrivals",
     "window_batches",

@@ -21,6 +21,8 @@ class TestCommands:
         assert main(["schedulers"]) == 0
         out = capsys.readouterr().out
         assert "approx" in out and "mip" in out
+        # neither the GA baseline nor the consolidation wrapper is registered
+        assert "genetic" not in out and "consolidated" not in out
 
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0

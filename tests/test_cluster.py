@@ -541,6 +541,14 @@ def test_cluster_rejects_negative_content_length(cluster_env):
     assert post_status_with_content_length(port, -1) == 400
 
 
+def test_cluster_times_out_short_body(cluster_env):
+    # A body shorter than its Content-Length must time out on the
+    # handler's socket, not wait for the client to hang up.
+    _, base, _, _ = cluster_env
+    port = int(base.rsplit(":", 1)[1])
+    assert post_status_with_content_length(port, 10) == 408
+
+
 def test_trace_id_spans_frontend_worker_and_journal(cluster_env):
     """Satellite: one trace id correlates the front-end span, the worker's
     solve span (across the process boundary) and the shard's journal record."""

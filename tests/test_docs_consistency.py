@@ -86,8 +86,6 @@ class TestApiReference:
             "OnlineSimulation",
             "RollingHorizonPlanner",
             "AdaptiveBudgetPlanner",
-            "GeneticScheduler",
-            "CarbonIntensityCurve",
             "run_method_matrix",
             "run_theta_sensitivity",
         ):

@@ -40,15 +40,6 @@ class TestExamples:
         out = run_example("renewable_budget.py")
         assert "day-average accuracy" in out
 
-    def test_carbon_aware_day(self):
-        out = run_example("carbon_aware_day.py")
-        assert "hybrid" in out and "CO2" in out
-
-    def test_dvfs_and_pricing(self):
-        out = run_example("dvfs_and_pricing.py")
-        assert "Cheapest budget" in out
-        assert "frontier area" in out
-
     def test_mlaas_online_serving(self):
         out = run_example("mlaas_online_serving.py")
         assert "planned" in out and "measured" in out

@@ -1,4 +1,4 @@
-"""Future-work extensions: renewable budgets and communication energy."""
+"""Future-work extension: renewable energy budgets."""
 
 import math
 
@@ -6,18 +6,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ApproxScheduler
-from repro.extensions import (
-    CommAwareScheduler,
-    CommunicationModel,
-    RenewablePlanner,
-    communication_energy,
-    solar_curve,
-)
+from repro.extensions import RenewablePlanner, solar_curve
 from repro.hardware import sample_uniform_cluster
 from repro.utils.errors import ValidationError
 from repro.workloads import TaskGenConfig, generate_tasks
-
-from conftest import make_instance
 
 
 @pytest.fixture(scope="module")
@@ -106,83 +98,3 @@ class TestRenewablePlanner:
         with pytest.raises(ValidationError):
             planner.run(tasks, [-1.0])
 
-
-class TestCommunicationModel:
-    def test_cost_matrix(self):
-        model = CommunicationModel(np.array([10.0, 20.0]), np.array([0.5, 1.0]))
-        costs = model.cost_matrix()
-        assert costs.shape == (2, 2)
-        assert costs[1, 1] == pytest.approx(20.0)
-
-    def test_worst_case_total(self):
-        model = CommunicationModel(np.array([10.0, 20.0]), np.array([0.5, 1.0]))
-        assert model.worst_case_total() == pytest.approx(10.0 + 20.0)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            CommunicationModel(np.array([-1.0]), np.array([1.0]))
-        with pytest.raises(ValidationError):
-            CommunicationModel(np.array([[1.0]]), np.array([1.0]))
-
-
-class TestCommAwareScheduler:
-    def make(self, seed=110, scale=1.0):
-        inst = make_instance(n=8, m=2, beta=0.4, seed=seed)
-        rng = np.random.default_rng(seed)
-        # size the bill as a meaningful fraction of the budget
-        per_task = inst.budget * scale / inst.n_tasks
-        model = CommunicationModel(
-            input_bytes=rng.uniform(0.5, 1.0, inst.n_tasks) * per_task,
-            joules_per_byte=rng.uniform(0.5, 1.5, inst.n_machines),
-        )
-        return inst, model
-
-    def test_joint_budget_respected(self):
-        inst, model = self.make(scale=0.3)
-        result = CommAwareScheduler(model).solve_with_info(inst)
-        total = result.schedule.total_energy + result.info.extra["comm_energy"]
-        assert total <= inst.budget * (1 + 1e-9)
-
-    def test_zero_comm_matches_plain_approx(self):
-        inst, _ = self.make()
-        model = CommunicationModel(np.zeros(inst.n_tasks), np.zeros(inst.n_machines))
-        plain = ApproxScheduler().solve(inst)
-        comm = CommAwareScheduler(model).solve(inst)
-        assert comm.total_accuracy == pytest.approx(plain.total_accuracy, rel=1e-9)
-
-    def test_comm_costs_reduce_accuracy(self):
-        inst, model = self.make(scale=0.5)
-        plain = ApproxScheduler().solve(inst)
-        comm = CommAwareScheduler(model).solve(inst)
-        assert comm.total_accuracy <= plain.total_accuracy + 1e-9
-
-    def test_communication_energy_skips_unassigned(self):
-        inst, model = self.make()
-        from repro.core.schedule import Schedule
-
-        empty = Schedule.empty(inst)
-        assert communication_energy(empty, model) == 0.0
-
-    def test_shape_mismatch_raises(self):
-        inst, _ = self.make()
-        bad = CommunicationModel(np.ones(3), np.ones(inst.n_machines))
-        with pytest.raises(ValidationError):
-            CommAwareScheduler(bad).solve(inst)
-
-    def test_infinite_budget_passthrough(self):
-        inst, model = self.make()
-        inst = type(inst)(inst.tasks, inst.cluster, math.inf)
-        result = CommAwareScheduler(model).solve_with_info(inst)
-        assert result.info.extra["rounds"] == 1
-
-    def test_fallback_always_feasible(self):
-        """Huge bills force the conservative path, which must stay feasible."""
-        inst, _ = self.make()
-        rng = np.random.default_rng(0)
-        model = CommunicationModel(
-            input_bytes=np.full(inst.n_tasks, inst.budget / 4),
-            joules_per_byte=rng.uniform(0.9, 1.1, inst.n_machines),
-        )
-        result = CommAwareScheduler(model, max_rounds=2).solve_with_info(inst)
-        total = result.schedule.total_energy + result.info.extra["comm_energy"]
-        assert total <= inst.budget * (1 + 1e-9)

@@ -100,6 +100,12 @@ class TestSuppression:
             lines[lineno - 1] += "  # repro: noqa"
         assert lint_source("\n".join(lines) + "\n", FIXTURE_PATH) == []
 
+    def test_noqa_naming_unknown_rule_is_reported(self):
+        source = "x = 1  # repro: noqa[RL011]\ny = 2  # repro: noqa[RL003, RL999]\n"
+        findings = lint_source(source, FIXTURE_PATH)
+        assert [(f.code, f.line) for f in findings] == [("RL000", 1), ("RL000", 2)]
+        assert "RL011" in findings[0].message and "RL999" in findings[1].message
+
     def test_noqa_for_another_code_does_not_silence(self):
         source = (FIXTURES / "rl004_bad.py").read_text()
         lineno = next(f.line for f in lint_source(source, FIXTURE_PATH) if f.code == "RL004")

@@ -82,6 +82,12 @@ class TestSolve:
         port = int(base_url.rsplit(":", 1)[1])
         assert post_status_with_content_length(port, -1) == 400
 
+    def test_short_body_408(self, base_url):
+        # A body shorter than its Content-Length must time out on the
+        # handler's socket, not wait for the client to hang up.
+        port = int(base_url.rsplit(":", 1)[1])
+        assert post_status_with_content_length(port, 10) == 408
+
     def test_bad_document_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as err:
             post(base_url + "/solve", {"format": "something"})

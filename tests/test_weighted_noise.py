@@ -1,4 +1,4 @@
-"""Weighted tasks, duration-noise replay, and the API doc generator."""
+"""Duration-noise replay and the API doc generator."""
 
 import subprocess
 import sys
@@ -7,56 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms import ApproxScheduler, FractionalScheduler
-from repro.extensions import weighted_instance, weighted_total_accuracy
+from repro.algorithms import ApproxScheduler
 from repro.simulator import replay_with_duration_noise
 from repro.utils.errors import ValidationError
 
 from conftest import make_instance
-
-
-class TestWeighted:
-    @pytest.fixture(scope="class")
-    def inst(self):
-        return make_instance(n=6, m=2, beta=0.35, seed=410)
-
-    def test_uniform_weights_are_identity(self, inst):
-        red, scale = weighted_instance(inst, [2.0] * 6)
-        assert scale == 2.0
-        plain = FractionalScheduler().solve(inst)
-        reduced = FractionalScheduler().solve(red)
-        # uniform weights scale every value by w/max(w) = 1: same problem
-        assert reduced.total_accuracy == pytest.approx(plain.total_accuracy, rel=1e-9)
-
-    def test_objective_equivalence(self, inst):
-        weights = [3.0, 1.0, 1.0, 2.0, 1.0, 1.0]
-        red, scale = weighted_instance(inst, weights)
-        sched = FractionalScheduler().solve(red)
-        direct = float(np.dot(weights, inst.tasks.accuracies(sched.task_flops)))
-        assert weighted_total_accuracy(sched, scale) == pytest.approx(direct, rel=1e-9)
-
-    def test_heavy_task_gets_priority(self, inst):
-        """Under a tight budget, up-weighting a task raises its share."""
-        weights = np.ones(6)
-        weights[3] = 10.0
-        red, _ = weighted_instance(inst, weights)
-        plain = FractionalScheduler().solve(inst)
-        heavy = FractionalScheduler().solve(red)
-        assert heavy.task_flops[3] >= plain.task_flops[3] - 1e-3
-
-    def test_structure_preserved(self, inst):
-        red, _ = weighted_instance(inst, np.linspace(1.0, 2.0, 6))
-        assert np.array_equal(red.tasks.deadlines, inst.tasks.deadlines)
-        assert red.budget == inst.budget
-        assert red.cluster is inst.cluster
-
-    def test_validation(self, inst):
-        with pytest.raises(ValidationError):
-            weighted_instance(inst, [1.0])
-        with pytest.raises(ValidationError):
-            weighted_instance(inst, [0.0] + [1.0] * 5)
-        with pytest.raises(ValidationError):
-            weighted_total_accuracy(FractionalScheduler().solve(inst), 0.0)
 
 
 class TestDurationNoise:
