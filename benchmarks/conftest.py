@@ -6,13 +6,13 @@ reports the wall-clock of the full reproduction), prints the same
 rows/series the paper reports, and archives the formatted table under
 ``benchmarks/output/``.
 
-Set ``REPRO_PAPER_SCALE=1`` to run the sweeps at the full published
-parameters (much slower: 100 repetitions, 60 s MIP limit, n up to 500).
+``PAPER_SCALE`` and ``run_once`` live in ``benchkit.py``; set
+``REPRO_PAPER_SCALE=1`` to run the sweeps at the full published
+parameters.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -20,9 +20,6 @@ import pytest
 from repro.experiments.records import ResultTable
 
 OUTPUT_DIR = Path(__file__).parent / "output"
-
-#: True when the full published parameters were requested.
-PAPER_SCALE = os.environ.get("REPRO_PAPER_SCALE", "") not in ("", "0", "false")
 
 
 @pytest.fixture
@@ -38,11 +35,6 @@ def save_table():
         table.to_csv(OUTPUT_DIR / f"{name}.csv")
 
     return _save
-
-
-def run_once(benchmark, fn):
-    """Run a full experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def pytest_addoption(parser):

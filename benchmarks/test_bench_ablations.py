@@ -12,7 +12,7 @@ from repro.experiments import (
     run_segments_ablation,
 )
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = AblationConfig(n=100, repetitions=5) if PAPER_SCALE else AblationConfig(n=50, repetitions=3)
 

@@ -2,7 +2,7 @@
 
 from repro.experiments import DiscreteValueConfig, run_discrete_value
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     DiscreteValueConfig(n=30, repetitions=3, time_limit=30.0)

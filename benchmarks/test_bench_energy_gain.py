@@ -6,7 +6,7 @@ task accuracy, compared to a scenario without compression."
 
 from repro.experiments import EnergyGainConfig, headline_at_loss, run_energy_gain
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = EnergyGainConfig() if PAPER_SCALE else EnergyGainConfig(n=60, repetitions=4)
 

@@ -3,7 +3,7 @@
 from repro.experiments import run_fig1
 from repro.hardware import fit_efficiency_trend
 
-from conftest import run_once
+from benchkit import run_once
 
 
 def test_fig1_gpu_catalog(benchmark, save_table):

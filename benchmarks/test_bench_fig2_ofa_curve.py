@@ -5,7 +5,7 @@ import numpy as np
 from repro.experiments import run_fig2
 from repro.models import ofa_mobilenet_v3
 
-from conftest import run_once
+from benchkit import run_once
 
 
 def test_fig2_ofa_curve(benchmark, save_table):

@@ -7,7 +7,7 @@ published parameters.
 
 from repro.experiments import Fig3Config, run_fig3
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     Fig3Config()

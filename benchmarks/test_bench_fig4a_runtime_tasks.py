@@ -7,7 +7,7 @@ hundreds of tasks.
 
 from repro.experiments import Fig4Config, run_fig4_tasks
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     Fig4Config()

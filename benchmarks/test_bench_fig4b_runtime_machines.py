@@ -6,7 +6,7 @@ APPROX stays interactive.
 
 from repro.experiments import Fig4Config, run_fig4_machines
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     Fig4Config()

@@ -8,7 +8,7 @@ budgets, all converging to a_max at β = 1.
 from repro.experiments import Fig5Config, run_fig5
 from repro.workloads.generator import PAPER_A_MAX
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = Fig5Config() if PAPER_SCALE else Fig5Config(n=60, repetitions=4)
 

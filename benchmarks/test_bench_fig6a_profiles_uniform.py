@@ -6,7 +6,7 @@ the naive profile (most-efficient machine funded first).
 
 from repro.experiments import Fig6Config, run_fig6
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = Fig6Config() if PAPER_SCALE else Fig6Config(n=60, repetitions=3)
 

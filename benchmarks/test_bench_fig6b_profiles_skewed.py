@@ -8,7 +8,7 @@ visibly deviates from the naive one at small β.
 
 from repro.experiments import Fig6Config, run_fig6
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = Fig6Config() if PAPER_SCALE else Fig6Config(n=60, repetitions=3)
 

@@ -2,7 +2,7 @@
 
 from repro.experiments import MethodMatrixConfig, run_method_matrix
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     MethodMatrixConfig(n=100, repetitions=5)

@@ -6,7 +6,7 @@ from repro.experiments.robustness import (
     run_slowdown_sweep,
 )
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = RobustnessConfig(n=100, repetitions=5) if PAPER_SCALE else RobustnessConfig(n=40, repetitions=3)
 

@@ -2,7 +2,7 @@
 
 from repro.experiments import SensitivityConfig, run_theta_sensitivity
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = (
     SensitivityConfig(n=100, repetitions=6)

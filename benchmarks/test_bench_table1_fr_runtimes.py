@@ -7,7 +7,7 @@ with margin.
 
 from repro.experiments import Table1Config, run_table1
 
-from conftest import PAPER_SCALE, run_once
+from benchkit import PAPER_SCALE, run_once
 
 CONFIG = Table1Config() if PAPER_SCALE else Table1Config(task_counts=(100, 200, 300, 400, 500), repetitions=2)
 

@@ -369,7 +369,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         max_wait_seconds=args.max_wait / 1000.0,
         solver_timeout=args.solver_timeout,
         fallback=args.fallback,
-        max_in_flight=args.max_in_flight,
         rebalance_seconds=args.rebalance_seconds,
         queue_target_seconds=args.queue_target,
         brownout_target_p99_seconds=args.brownout_target,
@@ -1114,7 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver-timeout", type=float, default=None, metavar="SECONDS", help="per-request solver deadline"
     )
     p_clu.add_argument("--fallback", action="store_true", help="serve through the fallback chain")
-    p_clu.add_argument("--max-in-flight", type=int, default=4, help="per-shard concurrent solve bound")
     p_clu.add_argument(
         "--rebalance-seconds", type=float, default=2.0, help="period of the lease rebalancer"
     )

@@ -5,9 +5,10 @@ time inside one Python process.  This package turns the same service
 into a small cluster while preserving the paper's core constraint — one
 global energy budget ``B`` — across all of it:
 
-* :mod:`repro.cluster.solve_service` — the one solve code path (scheduler
-  construction, deadline, response shape) shared by the plain server and
-  every cluster worker;
+* :mod:`repro.cluster.solve_service` — the one request path shared by
+  the plain server and the cluster: the HTTP handler, and the solve step
+  (parse, admit, solve under the deadline, journal, respond) that the
+  plain server and every cluster worker run;
 * :mod:`repro.cluster.router` — consistent-hash routing of requests to
   shards, walking past dead shards;
 * :mod:`repro.cluster.batcher` — per-shard coalescing of requests into
@@ -37,7 +38,7 @@ from .bench import bench_serve, run_load
 from .frontend import ClusterConfig, ClusterManager, make_cluster_server, serve_cluster
 from .ledger import ClusterAudit, EnergyLeaseLedger, ShardLease, audit_cluster
 from .router import ConsistentHashRouter
-from .solve_service import SolveService, SolveServiceConfig, solve_payload
+from .solve_service import SolveService, SolveServiceConfig, SolveStep, solve_payload
 from .supervisor import ShardSupervisor
 from .worker import WorkerConfig, worker_main
 
@@ -59,6 +60,7 @@ __all__ = [
     "ShardSupervisor",
     "SolveService",
     "SolveServiceConfig",
+    "SolveStep",
     "solve_payload",
     "WorkerConfig",
     "worker_main",

@@ -22,9 +22,12 @@ Four parts, layered:
 
 :class:`~repro.durability.run.DurableRun` ties them into a resumable
 rolling-horizon serving loop;
-:meth:`repro.online.planner.RollingHorizonPlanner.run_durable`,
+:meth:`repro.online.planner.RollingHorizonPlanner.run_durable` and
 :class:`~repro.simulator.online_sim.OnlineSimulation` (``journal=``)
-and ``repro serve --journal-dir`` wire it through the stack.
+wire it through the stack.
+:class:`~repro.durability.solve_journal.SolveJournal` is the per-solve
+energy ledger of both servers (``repro serve --journal-dir`` and each
+cluster shard).
 """
 
 from .crashtest import CrashTestConfig, CrashTestResult, KillOutcome, run_crash_test
@@ -40,6 +43,7 @@ from .journal import (
 from .recovery import RecoveredState, audit, certify, recover
 from .run import DurableReport, DurableRun, DurableWindow
 from .snapshot import SnapshotStore
+from .solve_journal import SolveJournal
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -50,6 +54,7 @@ __all__ = [
     "repair",
     "journal_segments",
     "SnapshotStore",
+    "SolveJournal",
     "RecoveredState",
     "recover",
     "audit",
