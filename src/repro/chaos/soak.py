@@ -221,7 +221,6 @@ def run_campaign(
         supervise=True,
         heartbeat_seconds=0.1,
         max_restarts=3,
-        max_retries=2,
         retry_backoff_seconds=0.02,
         hedge_after_seconds=hedge_after_seconds,
     )

@@ -44,11 +44,10 @@ from ..chaos import REBALANCE_SITE, RELEASE_SITE, SUBMIT_SITE, FaultInjector
 from ..durability import JournalWriter
 from ..observe.tracing import to_trace_events, trace_spans
 from ..overload.brownout import BrownoutController
-from ..overload.controller import AdmitRateController, DeadlineShedder, normalize_priority
+from ..overload.controller import AdmitRateController, normalize_priority
 from ..overload.signals import QueueDelaySignal
 from ..profile.exports import merge_profiles
 from ..profile.phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
-from ..resilience.admission import AdmissionController
 from ..telemetry import MetricsRegistry, collector, new_trace_id, prometheus_text, trace_scope
 from ..utils.errors import ValidationError
 from ..utils.validation import check_positive, require
@@ -64,6 +63,9 @@ __all__ = ["ClusterConfig", "ClusterManager", "make_cluster_server", "serve_clus
 #: Buckets shared by the per-request front-end delay histograms (seconds).
 _DELAY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
+#: Re-dispatches an orphaned request gets before it answers 503.
+_MAX_RETRIES = 2
+
 
 class ClusterConfig:
     """Knobs of a cluster: topology, batching, budget and resilience.
@@ -71,6 +73,8 @@ class ClusterConfig:
     Batching is work-conserving: a request reaches an idle shard at once.
     ``max_batch`` bounds a window, and ``max_wait_seconds`` caps how long
     a request waits for one while its shard still has a window in flight.
+    ``max_queue_per_shard`` bounds the requests queued at a shard's
+    batcher; one more answers ``503 queue_full``.
     """
 
     def __init__(
@@ -85,15 +89,11 @@ class ClusterConfig:
         fallback: bool = False,
         request_timeout_seconds: float = 30.0,
         rebalance_seconds: float = 2.0,
-        min_share: float = 0.05,
-        replicas: int = 64,
         fsync: str = "rotate",
         snapshot_every: int = 25,
-        lease_horizon_seconds: Optional[float] = None,
         supervise: bool = True,
         heartbeat_seconds: float = 0.25,
         max_restarts: int = 3,
-        max_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
         hedge_after_seconds: Optional[float] = None,
         queue_target_seconds: Optional[float] = None,
@@ -101,7 +101,6 @@ class ClusterConfig:
         brownout_dwell_seconds: float = 1.0,
         max_queue_per_shard: int = 1024,
         adaptive_lifo: bool = False,
-        min_admit_rate: float = 0.05,
         profile_hz: float = 19.0,
     ):
         require(shards >= 1, f"cluster needs at least one shard, got {shards}")
@@ -109,7 +108,6 @@ class ClusterConfig:
         check_positive(rebalance_seconds, "rebalance_seconds")
         check_positive(heartbeat_seconds, "heartbeat_seconds")
         require(max_restarts >= 0, f"max_restarts must be >= 0, got {max_restarts}")
-        require(max_retries >= 0, f"max_retries must be >= 0, got {max_retries}")
         check_positive(retry_backoff_seconds, "retry_backoff_seconds")
         if hedge_after_seconds is not None:
             check_positive(hedge_after_seconds, "hedge_after_seconds")
@@ -119,7 +117,6 @@ class ClusterConfig:
             check_positive(brownout_target_p99_seconds, "brownout_target_p99_seconds")
         check_positive(brownout_dwell_seconds, "brownout_dwell_seconds")
         require(max_queue_per_shard >= 1, f"max_queue_per_shard must be >= 1, got {max_queue_per_shard}")
-        require(0.0 < min_admit_rate <= 1.0, f"min_admit_rate must lie in (0, 1], got {min_admit_rate}")
         self.shards = int(shards)
         self.budget = budget
         self.journal_root = journal_root
@@ -129,15 +126,11 @@ class ClusterConfig:
         self.fallback = bool(fallback)
         self.request_timeout_seconds = float(request_timeout_seconds)
         self.rebalance_seconds = float(rebalance_seconds)
-        self.min_share = float(min_share)
-        self.replicas = int(replicas)
         self.fsync = fsync
         self.snapshot_every = int(snapshot_every)
-        self.lease_horizon_seconds = lease_horizon_seconds
         self.supervise = bool(supervise)
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.max_restarts = int(max_restarts)
-        self.max_retries = int(max_retries)
         self.retry_backoff_seconds = float(retry_backoff_seconds)
         self.hedge_after_seconds = hedge_after_seconds
         #: adaptive-admission target queue delay; ``None`` disables AIMD
@@ -147,7 +140,6 @@ class ClusterConfig:
         self.brownout_dwell_seconds = float(brownout_dwell_seconds)
         self.max_queue_per_shard = int(max_queue_per_shard)
         self.adaptive_lifo = bool(adaptive_lifo)
-        self.min_admit_rate = float(min_admit_rate)
         require(profile_hz >= 0.0, f"profile_hz must be >= 0, got {profile_hz}")
         #: per-worker continuous-profiler rate; ``0`` turns profiling off
         self.profile_hz = float(profile_hz)
@@ -180,15 +172,12 @@ class _ShardOverload:
 
     The measured queue-delay signal feeds three consumers: the AIMD
     admit-rate controller (created only when the cluster has a
-    ``queue_target_seconds``), the conservative deadline shedder, and —
-    aggregated across shards — the cluster-wide brownout controller.
-    The per-shard :class:`AdmissionController` is the same object the
-    plain HTTP server uses; its pluggable ``load_signal`` is where the
-    adaptive logic plugs in, replacing front-end-local threshold code.
+    ``queue_target_seconds``), the deadline check
+    (:meth:`QueueDelaySignal.doomed`), and — aggregated across shards —
+    the cluster-wide brownout controller.
     """
 
-    def __init__(self, shard: str, config: ClusterConfig, brownout: Optional[BrownoutController]):
-        self.shard = shard
+    def __init__(self, config: ClusterConfig):
         # The signal's recency horizon tracks the control cadence: a few
         # rebalance ticks of history is enough for a stable p99, and the
         # signal then decays as fast as the controllers can react — a
@@ -199,29 +188,7 @@ class _ShardOverload:
         )
         self.controller: Optional[AdmitRateController] = None
         if config.queue_target_seconds is not None:
-            self.controller = AdmitRateController(
-                target_delay_seconds=config.queue_target_seconds,
-                min_rate=config.min_admit_rate,
-            )
-        self.shedder = DeadlineShedder(self.signal)
-        self._brownout = brownout
-        self.admission = AdmissionController(
-            max_in_flight=config.max_queue_per_shard,
-            retry_after_seconds=1.0,
-            load_signal=self._load_signal,
-        )
-
-    def _load_signal(self, priority: Optional[str]) -> Optional[Tuple[str, float]]:
-        cls = normalize_priority(priority)
-        if (
-            self._brownout is not None
-            and self._brownout.current.shed_best_effort
-            and cls == "best_effort"
-        ):
-            return ("brownout_shed", 2.0)
-        if self.controller is not None and not self.controller.admit(cls):
-            return ("overload", 1.0)
-        return None
+            self.controller = AdmitRateController(target_delay_seconds=config.queue_target_seconds)
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -255,8 +222,8 @@ class ClusterManager:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.injector = injector
         ids = config.shard_ids()
-        self.router = ConsistentHashRouter(ids, replicas=config.replicas)
-        self.ledger = EnergyLeaseLedger(config.budget, ids, min_share=config.min_share)
+        self.router = ConsistentHashRouter(ids)
+        self.ledger = EnergyLeaseLedger(config.budget, ids)
         self._handles: Dict[str, _ShardHandle] = {s: _ShardHandle(s) for s in ids}
         self._batch_ids = itertools.count(1)
         self._started = False
@@ -278,7 +245,7 @@ class ClusterManager:
                     on_transition=self._journal_brownout,
                 )
         self._overload: Dict[str, _ShardOverload] = {
-            s: _ShardOverload(s, config, self.brownout) for s in ids
+            s: _ShardOverload(config) for s in ids
         }
 
     def _journal_brownout(self, old: int, new: int, p99: float) -> None:
@@ -308,7 +275,6 @@ class ClusterManager:
             fallback=cfg.fallback,
             snapshot_every=self.config.snapshot_every,
             fsync=self.config.fsync,
-            lease_horizon_seconds=self.config.lease_horizon_seconds,
             chaos_events=chaos_events,
             profile_hz=self.config.profile_hz,
         )
@@ -444,6 +410,9 @@ class ClusterManager:
         *now*: a request certain to miss it (measured against the
         shard's optimistic service floor) is shed 503 up front and again
         just before dispatch, so doomed work never reserves energy.
+        With ``queue_target_seconds`` set, the shard's AIMD controller
+        may refuse the request (``overload``); a full batcher queue
+        answers ``queue_full``.
         """
         tid = trace_id or new_trace_id()
         cls = normalize_priority(priority)
@@ -459,25 +428,20 @@ class ClusterManager:
                 event = self.injector.fire(SUBMIT_SITE, shard)
                 if event is not None and event.kind == "arrival_burst":
                     self._inject_burst(handle, int(event.magnitude), scheduler, instance_doc)
-            if deadline_seconds is not None and state.shedder.doomed(float(deadline_seconds)):
-                self.telemetry.counter(
-                    "overload_shed_total", reason="deadline_doomed", **{"class": cls}
-                ).inc()
-                return error_doc(503, "deadline_doomed", tid, 1.0)
-            decision = state.admission.try_begin(priority=cls)
-            if not decision.admitted:
-                self.telemetry.counter(
-                    "overload_shed_total", reason=decision.reason, **{"class": cls}
-                ).inc()
-                return error_doc(503, decision.reason, tid, decision.retry_after_seconds)
-            try:
-                return self._submit_admitted(
-                    handle, scheduler, instance_doc, tid, cls, timeout, deadline_seconds
-                )
-            finally:
-                # The front-end breaker never counts request failures —
-                # worker-side breakers own that; this slot is a queue bound.
-                state.admission.finish(failure=False)
+            if deadline_seconds is not None and state.signal.doomed(float(deadline_seconds)):
+                return self._shed("deadline_doomed", cls, tid, 1.0)
+            if cls == "best_effort" and self.brownout is not None and self.brownout.current.shed_best_effort:
+                return self._shed("brownout_shed", cls, tid, 2.0)
+            if state.controller is not None and not state.controller.admit(cls):
+                return self._shed("overload", cls, tid, 1.0)
+            return self._submit_admitted(
+                handle, scheduler, instance_doc, tid, cls, timeout, deadline_seconds
+            )
+
+    def _shed(self, reason: str, cls: str, tid: Optional[str], retry_after: float) -> Dict[str, Any]:
+        """Refuse one request 503, counted by reason and priority class."""
+        self.telemetry.counter("overload_shed_total", reason=reason, **{"class": cls}).inc()
+        return error_doc(503, reason, tid, retry_after)
 
     def _submit_admitted(
         self,
@@ -507,10 +471,7 @@ class ClusterManager:
                 assert handle.batcher is not None
                 pending = handle.batcher.submit(item, priority=cls)
             except QueueFullError:
-                self.telemetry.counter(
-                    "overload_shed_total", reason="queue_full", **{"class": cls}
-                ).inc()
-                return error_doc(503, "queue_full", tid, 1.0)
+                return self._shed("queue_full", cls, tid, 1.0)
             except ValidationError:
                 return error_doc(503, f"shard {shard} is shutting down", tid, 5.0)
             try:
@@ -638,14 +599,18 @@ class ClusterManager:
 
     def _reserve_for(self, shard: str, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> float:
         """How much lease to reserve for a window: the sum of the requests'
-        own budgets (an infinite budget asks for the whole lease — the
-        reservation clips to headroom either way)."""
+        own budgets.  The documents are still unparsed: a budget that is not
+        a finite number >= 0 asks for the whole lease, as an infinite one
+        does, and the shard answers it 400 if it is malformed.  The
+        reservation clips to headroom either way."""
         lease = self.ledger.lease_of(shard)
         ask = 0.0
         for item, _ in batch:
-            raw = item["instance"].get("budget", "inf")
-            value = float(raw)
-            ask += lease if math.isinf(value) else value
+            try:
+                value = float(item["instance"].get("budget", "inf"))
+            except (AttributeError, TypeError, ValueError):
+                value = math.inf
+            ask += value if math.isfinite(value) and value >= 0.0 else lease
         return self.ledger.reserve(shard, min(ask, lease))
 
     def _shed_doomed(
@@ -656,20 +621,17 @@ class ClusterManager:
         This runs *before* the window reserves its lease grant, so a
         doomed request never spends a joule of B — the refund is by
         construction, not by release.  Doom is judged against the
-        shard's optimistic service floor (see ``DeadlineShedder``), so a
-        request an idle shard could still have served in time survives.
+        shard's optimistic service floor (see ``QueueDelaySignal.doomed``),
+        so a request an idle shard could still have served in time survives.
         """
         state = self._overload[handle.shard]
         now = time.monotonic()
         kept: List[Tuple[Dict[str, Any], PendingResult]] = []
         for item, pending in batch:
             deadline_at = item.get("_deadline_at")
-            if deadline_at is not None and state.shedder.doomed(deadline_at - now):
+            if deadline_at is not None and state.signal.doomed(deadline_at - now):
                 cls = normalize_priority(item.get("priority"))
-                self.telemetry.counter(
-                    "overload_shed_total", reason="deadline_doomed", **{"class": cls}
-                ).inc()
-                pending.resolve(error_doc(503, "deadline_doomed", item.get("trace_id"), 1.0))
+                pending.resolve(self._shed("deadline_doomed", cls, item.get("trace_id"), 1.0))
                 continue
             if deadline_at is not None and deadline_at - now <= 0.0:
                 # Live invariant check: doomed() must have shed this above;
@@ -712,7 +674,6 @@ class ClusterManager:
                 envelope["brownout"] = self.brownout.level
             if grant is not None:
                 envelope["grant"] = grant
-                envelope["lease"] = self.ledger.lease_of(handle.shard)
             with handle.lock:
                 handle.inflight[batch_id] = ("window", batch, grant or 0.0, handle.epoch, time.monotonic())
         except BaseException:
@@ -847,7 +808,7 @@ class ClusterManager:
         if pending.done:
             return
         attempts = int(item.get("_attempts", 0))
-        if not self.config.supervise or attempts >= self.config.max_retries:
+        if not self.config.supervise or attempts >= _MAX_RETRIES:
             pending.resolve(error_doc(503, reason, item.get("trace_id"), 2.0))
             return
         item["_attempts"] = attempts + 1

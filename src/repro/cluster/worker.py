@@ -13,9 +13,7 @@ with any other process — the worker owns:
   the shard before it melts;
 * a :class:`~repro.durability.solve_journal.SolveJournal` — the
   shard's write-ahead energy ledger, recovered on restart and audited
-  by :func:`repro.cluster.ledger.audit_cluster`;
-* an optional :class:`~repro.observe.slo.BurnRateMonitor` watching the
-  shard's spend rate against its lease.
+  by :func:`repro.cluster.ledger.audit_cluster`.
 
 Each window item runs the solve step the single-process server runs
 (:class:`~repro.cluster.solve_service.SolveStep`); the worker adds only
@@ -49,14 +47,13 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..chaos import ChaosEvent, FaultInjector, WORKER_SITE
 from ..core.instance import ProblemInstance
-from ..core.task import Task, TaskSet
+from ..core.task import Task
 from ..durability.solve_journal import SolveJournal
-from ..observe.slo import BurnRateMonitor
-from ..overload.brownout import BROWNOUT_LADDER
+from ..overload.brownout import BROWNOUT_LADDER, BrownoutLevel
 from ..profile.phases import phase_breakdown
 from ..profile.sampler import StackSampler
 from ..resilience.admission import AdmissionController
-from ..resilience.degrade import truncate_accuracy
+from ..resilience.degrade import cap_work
 from ..telemetry import MetricsRegistry, collector, trace_scope
 from .solve_service import SolveService, SolveServiceConfig, SolveStep, error_doc
 
@@ -75,7 +72,6 @@ class WorkerConfig:
         fallback: bool = False,
         snapshot_every: int = 25,
         fsync: str = "always",
-        lease_horizon_seconds: Optional[float] = None,
         chaos_events: Optional[Sequence[ChaosEvent]] = None,
         profile_hz: float = 19.0,
     ):
@@ -85,7 +81,6 @@ class WorkerConfig:
         self.fallback = bool(fallback)
         self.snapshot_every = int(snapshot_every)
         self.fsync = fsync
-        self.lease_horizon_seconds = lease_horizon_seconds
         #: continuous-profiler sampling rate; ``0`` disables the sampler
         self.profile_hz = float(profile_hz)
         #: planned worker-site chaos faults (frozen dataclasses pickle across fork)
@@ -121,8 +116,6 @@ class _ShardState:
             labels={"shard": config.shard},
         )
         self.solves_total = 0
-        self.started_at = time.monotonic()
-        self.burn: Optional[BurnRateMonitor] = None
         self.cancelled: set = set()  # trace ids the front-end withdrew (hedge losers)
         self.brownout_level = 0  # cluster-wide level stamped into window envelopes
         self.injector: Optional[FaultInjector] = None
@@ -154,16 +147,17 @@ def _brownout_instance(instance: ProblemInstance, level: int) -> ProblemInstance
     if level <= 0:
         return instance
     rung = BROWNOUT_LADDER[min(level, len(BROWNOUT_LADDER) - 1)]
-    tasks = []
-    for task in instance.tasks:
-        if rung.force_lowest:
-            positive = task.accuracy.breakpoints[task.accuracy.breakpoints > 0]
-            cap = float(positive[0]) if len(positive) else rung.work_cap_scale * task.f_max
-        else:
-            cap = rung.work_cap_scale * task.f_max
-        acc = truncate_accuracy(task.accuracy, min(max(cap, 1e-12), task.f_max))
-        tasks.append(Task(deadline=task.deadline, accuracy=acc, name=task.name))
-    return ProblemInstance(TaskSet(tasks, assume_sorted=True), instance.cluster, instance.budget)
+    return cap_work(instance, [_rung_cap(rung, task) for task in instance.tasks])
+
+
+def _rung_cap(rung: BrownoutLevel, task: Task) -> float:
+    """A task's work cap on one rung: its lowest positive breakpoint when
+    the rung forces the lowest θ, else the rung's share of ``f_max``."""
+    if rung.force_lowest:
+        positive = task.accuracy.breakpoints[task.accuracy.breakpoints > 0]
+        if len(positive):
+            return float(positive[0])
+    return rung.work_cap_scale * task.f_max
 
 
 def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float, enforce: bool):
@@ -199,9 +193,6 @@ def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float,
     if state.brownout_level > 0:
         tele.counter("worker_brownout_solves_total", shard=shard, level=str(state.brownout_level)).inc()
     doc["shard"] = shard
-    if state.burn is not None:
-        for alert in state.burn.observe(time.monotonic() - state.started_at, state.energy_spent):
-            tele.counter("shard_burn_alerts_total", shard=shard, severity=alert.severity).inc()
     return doc, float(doc["metrics"]["energy_joules"])
 
 
@@ -250,11 +241,6 @@ def _handle_window(
     grant = envelope.get("grant")
     enforce = grant is not None
     remaining = float(grant) if enforce else float("inf")
-    lease = float(envelope.get("lease", grant)) if enforce else 0.0
-    horizon = state.config.lease_horizon_seconds
-    if state.burn is None and horizon is not None and lease > 0.0:
-        started = time.monotonic() - state.started_at
-        state.burn = BurnRateMonitor(budget=lease, horizon=horizon, start_time=started, start_energy=state.energy_spent)
     level = int(envelope.get("brownout", 0))
     if level != state.brownout_level:
         # The front-end moved the cluster-wide brownout level; journal the
@@ -308,7 +294,6 @@ def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any
         "brownout_level": state.brownout_level,
         "journal_records": state.journal.record_count,
         "telemetry": state.telemetry.snapshot(),
-        "burn_alerts": [a.severity for a in state.burn.alerts] if state.burn is not None else [],
     }
 
 

@@ -3,11 +3,11 @@
 Closed-loop overload management built from three cooperating pieces:
 
 * :mod:`repro.overload.signals` — per-shard queue-delay measurement
-  (sojourn EWMA, windowed p99, optimistic service floors);
-* :mod:`repro.overload.controller` — AIMD admission on measured queue
-  delay with deterministic per-priority-class credit accumulators, and
-  conservative deadline shedding (never drops a request an idle system
+  (sojourn EWMA, windowed p99, optimistic service floors) and the
+  conservative deadline check (never dooms a request an idle system
   would have served in time);
+* :mod:`repro.overload.controller` — AIMD admission on measured queue
+  delay with deterministic per-priority-class credit accumulators;
 * :mod:`repro.overload.brownout` — the compression brownout ladder
   (normal → cap compression → force lowest-θ → shed best-effort),
   walked one rung at a time by a PID-style controller on p99 queue
@@ -22,16 +22,13 @@ from .controller import (
     PRIORITY_CLASSES,
     PRIORITY_ORDER,
     AdmitRateController,
-    DeadlineShedder,
     normalize_priority,
 )
-from .signals import QueueDelaySignal, RingWindow
+from .signals import QueueDelaySignal
 
 __all__ = [
     "QueueDelaySignal",
-    "RingWindow",
     "AdmitRateController",
-    "DeadlineShedder",
     "PRIORITY_CLASSES",
     "PRIORITY_ORDER",
     "normalize_priority",

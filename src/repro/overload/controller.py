@@ -1,13 +1,11 @@
-"""Closed-loop admission: AIMD on queue delay, and deadline shedding.
+"""Closed-loop admission: AIMD on queue delay, by priority class.
 
-Two small controllers, both pure functions of an injected clock and the
-:class:`~repro.overload.signals.QueueDelaySignal` they watch — no RNG,
-no wall-clock reads, so every decision is reproducible under a seeded
-arrival trace.
-
-:class:`AdmitRateController` is the CoDel-flavoured half: while the
-*minimum* sojourn delay per ``interval_seconds`` stays below
-``target_delay_seconds`` every request is admitted at full rate; once
+:class:`AdmitRateController` is a pure function of an injected clock and
+the sojourn delays it is fed — no RNG, no wall-clock reads, so every
+decision is reproducible under a seeded arrival trace.  It is
+CoDel-flavoured: while the *minimum* sojourn delay per
+``interval_seconds`` stays below ``target_delay_seconds`` every request
+is admitted at full rate; once
 even the interval minimum exceeds the target — every request of the
 interval queued too long — the admit rate is cut multiplicatively (once
 per interval, not per request: AIMD needs the queue to react before it
@@ -20,13 +18,8 @@ smallest exponent so it sheds last; best-effort the largest so it sheds
 first.  Over N arrivals the admitted fraction converges to exactly the
 rate — no sampling noise.
 
-:class:`DeadlineShedder` is the goodput half: a request whose remaining
-deadline budget cannot cover even the *optimistic* service floor the
-shard has recently demonstrated is certain to miss; serving it would
-burn energy from the shared budget B for a result nobody can use.  The
-estimate is deliberately one-sided — we shed on the floor, never on the
-congested mean — so a request that would have met its deadline on an
-idle system is never dropped (tested property).
+Deadline shedding needs no controller of its own: it is
+:meth:`~repro.overload.signals.QueueDelaySignal.doomed`.
 """
 
 from __future__ import annotations
@@ -36,14 +29,12 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from ..utils.validation import check_positive, require
-from .signals import QueueDelaySignal
 
 __all__ = [
     "PRIORITY_CLASSES",
     "PRIORITY_ORDER",
     "normalize_priority",
     "AdmitRateController",
-    "DeadlineShedder",
 ]
 
 #: Priority classes in shed order: best_effort sheds first, interactive last.
@@ -191,34 +182,3 @@ class AdmitRateController:
                     name: min(self._rate**exp, 1.0) for name, exp in _PRIORITY_EXPONENTS.items()
                 },
             }
-
-
-class DeadlineShedder:
-    """Sheds requests that are *certain* to miss their deadline.
-
-    ``doomed(remaining)`` is True only when the remaining deadline
-    budget is below the optimistic service floor — the smallest
-    per-request solve time the shard has recently demonstrated — or has
-    already run out.  With no service samples yet, only past-deadline
-    requests are shed.  This one-sidedness is the safety property: any
-    request an *idle* system could have served in time is never dropped.
-    """
-
-    def __init__(self, signal: QueueDelaySignal, *, safety_factor: float = 1.0):
-        require(0.0 < safety_factor <= 1.0, f"safety_factor must lie in (0, 1], got {safety_factor}")
-        self.signal = signal
-        self.safety_factor = float(safety_factor)
-
-    def doomed(self, remaining_seconds: Optional[float]) -> bool:
-        if remaining_seconds is None:
-            return False
-        if remaining_seconds <= 0.0:
-            return True
-        floor = self.signal.service_floor()
-        if floor is None:
-            return False
-        return remaining_seconds < floor * self.safety_factor
-
-    def estimate_completion_seconds(self) -> Optional[float]:
-        """Expected completion delay for a request admitted now (EWMA)."""
-        return self.signal.sojourn_ewma

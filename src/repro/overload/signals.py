@@ -7,14 +7,14 @@ those measurements live: the front-end records each request's **sojourn
 time** (submit → settled result) and each window's **service time**
 (worker solve seconds per request), and the signal maintains
 
-* an EWMA of sojourn time (the smoothed "expected completion delay"
-  deadline shedding reasons about),
+* an EWMA of sojourn time (the smoothed delay ``/health`` reports),
 * a sliding-window p99 of sojourn time (the tail the brownout
   controller regulates),
 * sliding-window *floors* (minimum sojourn and minimum service time) —
-  the optimistic estimates that make shedding conservative: a request
-  is only declared doomed against the **best** case the shard has
-  recently demonstrated, never against a congested average.
+  the optimistic estimates that make shedding conservative:
+  :meth:`QueueDelaySignal.doomed` declares a request doomed only against
+  the **best** case the shard has recently demonstrated, never against a
+  congested average.
 
 The windows are fixed-size ring buffers (bounded by construction — the
 data plane must never grow a queue without a cap, see lint rule RL014)
@@ -31,102 +31,25 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..utils.validation import check_positive, require
+from ..utils.validation import check_positive
 
-__all__ = ["RingWindow", "QueueDelaySignal"]
+__all__ = ["QueueDelaySignal"]
 
-
-class RingWindow:
-    """A fixed-capacity ring of float samples (bounded by construction)."""
-
-    __slots__ = ("_values", "_cursor", "_count", "capacity")
-
-    def __init__(self, capacity: int):
-        require(capacity >= 1, f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._values: List[float] = [0.0] * self.capacity
-        self._cursor = 0
-        self._count = 0
-
-    def add(self, value: float) -> None:
-        self._values[self._cursor] = float(value)
-        self._cursor = (self._cursor + 1) % self.capacity
-        if self._count < self.capacity:
-            self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
-
-    def values(self) -> List[float]:
-        """The current samples, oldest-first ordering not guaranteed."""
-        return self._values[: self._count]
-
-    def minimum(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return min(self._values[: self._count])
-
-    def mean(self) -> Optional[float]:
-        if not self._count:
-            return None
-        return sum(self._values[: self._count]) / self._count
-
-    def quantile(self, q: float) -> Optional[float]:
-        """The q-quantile of the window (nearest-rank, q in [0, 1])."""
-        if not self._count:
-            return None
-        ordered = sorted(self._values[: self._count])
-        index = min(int(q * self._count), self._count - 1)
-        return ordered[index]
+#: Weight of the newest sojourn in the smoothed sojourn delay.
+_EWMA_ALPHA = 0.2
+#: Samples each ring window holds (the age bound usually bites first).
+_WINDOW = 256
 
 
-class _TimedWindow:
-    """A fixed-capacity ring of (timestamp, value) samples.
-
-    Readers see only samples younger than ``max_age`` — the window is
-    bounded both in count (the ring) and in time (the age filter), so a
-    burst of stale extremes cannot dominate a statistic after load
-    subsides.
-    """
-
-    __slots__ = ("_samples", "_cursor", "_count", "capacity", "max_age")
-
-    def __init__(self, capacity: int, max_age: float):
-        require(capacity >= 1, f"capacity must be >= 1, got {capacity}")
-        check_positive(max_age, "max_age")
-        self.capacity = int(capacity)
-        self.max_age = float(max_age)
-        self._samples: List[Tuple[float, float]] = [(0.0, 0.0)] * self.capacity
-        self._cursor = 0
-        self._count = 0
-
-    def add(self, at: float, value: float) -> None:
-        self._samples[self._cursor] = (float(at), float(value))
-        self._cursor = (self._cursor + 1) % self.capacity
-        if self._count < self.capacity:
-            self._count += 1
-
-    def fresh(self, now: float) -> List[float]:
-        cutoff = now - self.max_age
-        return [value for at, value in self._samples[: self._count] if at >= cutoff]
-
-    def minimum(self, now: float) -> Optional[float]:
-        values = self.fresh(now)
-        return min(values) if values else None
-
-    def mean(self, now: float) -> Optional[float]:
-        values = self.fresh(now)
-        return (sum(values) / len(values)) if values else None
-
-    def quantile(self, now: float, q: float) -> Optional[float]:
-        values = self.fresh(now)
-        if not values:
-            return None
-        values.sort()
-        index = min(int(q * len(values)), len(values) - 1)
-        return values[index]
+def _quantile(values: List[float], q: float) -> Optional[float]:
+    """The q-quantile of ``values`` (nearest rank), ``None`` when empty."""
+    if not values:
+        return None
+    values = sorted(values)
+    return values[min(int(q * len(values)), len(values) - 1)]
 
 
 class QueueDelaySignal:
@@ -143,20 +66,16 @@ class QueueDelaySignal:
     def __init__(
         self,
         *,
-        ewma_alpha: float = 0.2,
-        window: int = 256,
         max_age_seconds: float = 3.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        require(0.0 < ewma_alpha <= 1.0, f"ewma_alpha must lie in (0, 1], got {ewma_alpha}")
-        check_positive(window, "window")
         check_positive(max_age_seconds, "max_age_seconds")
-        self.ewma_alpha = float(ewma_alpha)
         self.max_age_seconds = float(max_age_seconds)
         self._clock = clock
         self._lock = threading.Lock()
-        self._sojourns = _TimedWindow(int(window), self.max_age_seconds)
-        self._services = _TimedWindow(int(window), self.max_age_seconds)
+        # (timestamp, value) rings; readers skip samples past max_age.
+        self._sojourns: Deque[Tuple[float, float]] = deque(maxlen=_WINDOW)
+        self._services: Deque[Tuple[float, float]] = deque(maxlen=_WINDOW)
         self._sojourn_ewma: Optional[float] = None
         self._samples = 0
 
@@ -169,12 +88,11 @@ class QueueDelaySignal:
         now = self._clock()
         with self._lock:
             self._samples += 1
-            self._sojourns.add(now, value)
+            self._sojourns.append((now, value))
             if self._sojourn_ewma is None:
                 self._sojourn_ewma = value
             else:
-                alpha = self.ewma_alpha
-                self._sojourn_ewma = alpha * value + (1.0 - alpha) * self._sojourn_ewma
+                self._sojourn_ewma = _EWMA_ALPHA * value + (1.0 - _EWMA_ALPHA) * self._sojourn_ewma
 
     def observe_service(self, seconds: float) -> None:
         value = max(float(seconds), 0.0)
@@ -182,9 +100,14 @@ class QueueDelaySignal:
             return
         now = self._clock()
         with self._lock:
-            self._services.add(now, value)
+            self._services.append((now, value))
 
     # -- reading -----------------------------------------------------------------
+
+    def _fresh(self, samples: Deque[Tuple[float, float]], now: float) -> List[float]:
+        """Values of the samples at most ``max_age_seconds`` old (lock held)."""
+        cutoff = now - self.max_age_seconds
+        return [value for at, value in samples if at >= cutoff]
 
     @property
     def samples(self) -> int:
@@ -200,36 +123,55 @@ class QueueDelaySignal:
     def sojourn_p99(self) -> Optional[float]:
         now = self._clock()
         with self._lock:
-            return self._sojourns.quantile(now, 0.99)
+            return _quantile(self._fresh(self._sojourns, now), 0.99)
 
     def sojourn_floor(self) -> Optional[float]:
         """The best recently-demonstrated sojourn (optimistic queueing)."""
         now = self._clock()
         with self._lock:
-            return self._sojourns.minimum(now)
+            return min(self._fresh(self._sojourns, now), default=None)
 
     def service_floor(self) -> Optional[float]:
         """The best recently-demonstrated per-request solve time."""
         now = self._clock()
         with self._lock:
-            return self._services.minimum(now)
+            return min(self._fresh(self._services, now), default=None)
+
+    def doomed(self, remaining_seconds: Optional[float]) -> bool:
+        """Is a request with this much deadline left *certain* to miss it?
+
+        True only when the deadline has run out or the time left is below
+        the service floor.  With no service samples yet only past-deadline
+        requests are doomed.  The test is one-sided on purpose: a request
+        an *idle* shard could still serve in time is never doomed.
+        """
+        if remaining_seconds is None:
+            return False
+        if remaining_seconds <= 0.0:
+            return True
+        floor = self.service_floor()
+        return floor is not None and remaining_seconds < floor
 
     def service_mean(self) -> Optional[float]:
         now = self._clock()
         with self._lock:
-            return self._services.mean(now)
+            values = self._fresh(self._services, now)
+        return sum(values) / len(values) if values else None
 
     def snapshot(self) -> Dict[str, Any]:
         now = self._clock()
         with self._lock:
-            return {
-                "samples": self._samples,
-                "sojourn_ewma": self._sojourn_ewma,
-                "sojourn_p99": self._sojourns.quantile(now, 0.99),
-                "sojourn_floor": self._sojourns.minimum(now),
-                "service_floor": self._services.minimum(now),
-                "service_mean": self._services.mean(now),
-            }
+            sojourns = self._fresh(self._sojourns, now)
+            services = self._fresh(self._services, now)
+            samples, ewma = self._samples, self._sojourn_ewma
+        return {
+            "samples": samples,
+            "sojourn_ewma": ewma,
+            "sojourn_p99": _quantile(sojourns, 0.99),
+            "sojourn_floor": min(sojourns, default=None),
+            "service_floor": min(services, default=None),
+            "service_mean": sum(services) / len(services) if services else None,
+        }
 
     def __repr__(self) -> str:
         return f"QueueDelaySignal(samples={self.samples}, ewma={self.sojourn_ewma})"

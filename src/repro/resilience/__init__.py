@@ -23,6 +23,7 @@ from .degrade import (
     DegradationPolicy,
     DegradeDecision,
     Watermark,
+    cap_work,
     expand_times,
     truncate_accuracy,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "DegradationPolicy",
     "DegradeDecision",
     "truncate_accuracy",
+    "cap_work",
     "expand_times",
     "AdmissionController",
     "AdmissionDecision",

@@ -40,7 +40,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..telemetry import get_collector
 from ..utils.validation import check_positive, require
@@ -50,17 +50,7 @@ __all__ = [
     "CircuitBreaker",
     "AdmissionDecision",
     "AdmissionController",
-    "LoadSignal",
 ]
-
-#: A pluggable load signal consulted on every admission attempt.  Called
-#: with the request's priority class (or None); returns ``None`` to
-#: admit, or ``(reason, retry_after_seconds)`` to reject.  This is how
-#: the cluster front-end plugs its adaptive queue-delay controller into
-#: the same admission object the plain HTTP server uses — the static
-#: in-flight bound stays as a backstop, the signal supplies the
-#: closed-loop part.
-LoadSignal = Callable[[Optional[str]], Optional[Tuple[str, float]]]
 
 
 class BreakerState:
@@ -178,14 +168,12 @@ class AdmissionController:
         max_in_flight: int = 8,
         breaker: Optional[CircuitBreaker] = None,
         retry_after_seconds: float = 1.0,
-        load_signal: Optional[LoadSignal] = None,
     ):
         require(max_in_flight >= 1, f"max_in_flight must be >= 1, got {max_in_flight}")
         check_positive(retry_after_seconds, "retry_after_seconds")
         self.max_in_flight = int(max_in_flight)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.retry_after_seconds = float(retry_after_seconds)
-        self.load_signal = load_signal
         self._lock = threading.Lock()
         self._in_flight = 0
 
@@ -194,7 +182,7 @@ class AdmissionController:
         with self._lock:
             return self._in_flight
 
-    def try_begin(self, *, priority: Optional[str] = None) -> AdmissionDecision:
+    def try_begin(self) -> AdmissionDecision:
         """Claim a solve slot; a rejected request must NOT call finish()."""
         tele = get_collector()
         if not self.breaker.allow():
@@ -204,18 +192,6 @@ class AdmissionController:
                 reason="breaker_open",
                 retry_after_seconds=max(math.ceil(self.breaker.retry_after()), 1),
             )
-        if self.load_signal is not None:
-            verdict = self.load_signal(priority)
-            if verdict is not None:
-                reason, retry_after = verdict
-                # The breaker probe (if we took it) never ran: hand it back.
-                self.breaker.cancel_probe()
-                tele.counter("admission_rejected_total", reason=reason).inc()
-                return AdmissionDecision(
-                    admitted=False,
-                    reason=reason,
-                    retry_after_seconds=float(retry_after),
-                )
         with self._lock:
             if self._in_flight >= self.max_in_flight:
                 rejected = True

@@ -16,7 +16,8 @@ under extreme pressure should the lowest-value tasks be shed.
     degraded = policy.apply(instance, spent_fraction=0.9)
 
 Crossing a watermark truncates every task's accuracy curve at
-``work_cap_scale × f_max`` — the scheduler then cannot spend more than
+``work_cap_scale × f_max`` (:func:`cap_work`, which the cluster's
+brownout ladder uses too) — the scheduler then cannot spend more than
 the cap on any task, i.e. every task runs a harder-compressed model.
 The deepest watermark may also set ``shed_fraction``: that fraction of
 tasks (lowest marginal accuracy per FLOP first, i.e. smallest θ) is
@@ -26,18 +27,26 @@ degradation never sheds the whole window.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.accuracy import PiecewiseLinearAccuracy
 from ..core.instance import ProblemInstance
-from ..core.task import Task, TaskSet
+from ..core.task import TaskSet
 from ..telemetry import get_collector
 from ..utils.validation import check_fraction, require
 
-__all__ = ["Watermark", "DegradeDecision", "DegradationPolicy", "truncate_accuracy", "expand_times"]
+__all__ = [
+    "Watermark",
+    "DegradeDecision",
+    "DegradationPolicy",
+    "truncate_accuracy",
+    "cap_work",
+    "expand_times",
+]
 
 
 def truncate_accuracy(acc: PiecewiseLinearAccuracy, cap_flops: float) -> PiecewiseLinearAccuracy:
@@ -55,6 +64,28 @@ def truncate_accuracy(acc: PiecewiseLinearAccuracy, cap_flops: float) -> Piecewi
     points = np.concatenate([acc.breakpoints[keep], [cap_flops]])
     values = np.concatenate([acc.breakpoint_accuracies[keep], [acc.value(cap_flops)]])
     return PiecewiseLinearAccuracy(points, values)
+
+
+def cap_work(
+    instance: ProblemInstance, caps: Sequence[float], kept: Optional[Sequence[int]] = None
+) -> ProblemInstance:
+    """Cap each task's work at its own FLOP cap: a harder compression.
+
+    ``caps[i]`` caps the i-th task of ``kept`` (of every task when
+    ``kept`` is ``None``); the other tasks are dropped.  Each cap is
+    clamped to ``(0, f_max]``, so a cap at or beyond ``f_max`` leaves its
+    task's curve as it is.  Deadlines, cluster and budget are unchanged.
+    """
+    rows = range(instance.n_tasks) if kept is None else kept
+    tasks = [instance.tasks[int(j)] for j in rows]
+    require(len(caps) == len(tasks), f"need one cap per task, got {len(caps)} for {len(tasks)}")
+    capped = [
+        dataclasses.replace(
+            task, accuracy=truncate_accuracy(task.accuracy, min(max(float(cap), 1e-12), task.f_max))
+        )
+        for task, cap in zip(tasks, caps)
+    ]
+    return ProblemInstance(TaskSet(capped, assume_sorted=True), instance.cluster, instance.budget)
 
 
 @dataclass(frozen=True)
@@ -166,14 +197,8 @@ class DegradationPolicy:
                 kept = np.array([j for j in range(n) if j not in set(shed)])
                 tele.counter("degrade_shed_tasks_total").add(n_shed)
 
-        tasks: List[Task] = []
-        for j in kept:
-            task = instance.tasks[int(j)]
-            acc = truncate_accuracy(task.accuracy, mark.work_cap_scale * task.f_max)
-            tasks.append(Task(deadline=task.deadline, accuracy=acc, name=task.name))
-        degraded = ProblemInstance(
-            TaskSet(tasks, assume_sorted=True), instance.cluster, instance.budget
-        )
+        caps = [mark.work_cap_scale * instance.tasks[int(j)].f_max for j in kept]
+        degraded = cap_work(instance, caps, kept)
         return DegradeDecision(degraded, kept, level, mark.work_cap_scale, shed)
 
 

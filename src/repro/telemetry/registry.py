@@ -15,7 +15,8 @@ series — restricted to what an offline scheduling library needs:
   refine; model build → solve; window plan → dispatch) with wall-clock
   durations.  Every finished span also observes its duration into the
   ``span_duration_seconds`` histogram labeled by span name, so phase
-  latency distributions come for free.
+  latency distributions come for free.  A registry keeps the newest
+  :data:`MAX_SPANS` spans.
 
 The registry is thread-safe: scalar updates take a lock, and the span
 stack lives in a :class:`~contextvars.ContextVar` so concurrent server
@@ -37,9 +38,10 @@ import time
 import uuid
 import warnings
 from bisect import bisect_left
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TelemetryError",
@@ -83,6 +85,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: timestamp) and blowing up memory.
 MAX_SERIES_PER_METRIC = 1000
 
+#: Spans a registry keeps: the newest, in a ring.  A long-lived server
+#: opens spans for as long as it serves, and every shard ``stats`` probe
+#: ships them all; each span pushed out is counted in
+#: :data:`DROPPED_SPANS_METRIC`.
+MAX_SPANS = 65_536
+
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
@@ -90,6 +98,9 @@ LabelItems = Tuple[Tuple[str, str], ...]
 #: Exempt from the cap itself (its cardinality is bounded by the number
 #: of distinct metric *names*, which is finite by construction).
 DROPPED_SERIES_METRIC = "telemetry_series_dropped_total"
+
+#: Self-metric bumped when the span ring pushes out its oldest span.
+DROPPED_SPANS_METRIC = "telemetry_spans_dropped_total"
 
 
 class TelemetryError(ValueError):
@@ -314,7 +325,7 @@ class MetricsRegistry:
         self._label_keys: Dict[str, Tuple[str, ...]] = {}
         self._series_count: Dict[str, int] = {}
         self._overflow_warned: set = set()
-        self.spans: List[SpanRecord] = []
+        self.spans: Deque[SpanRecord] = deque(maxlen=MAX_SPANS)
         # Immutable tuple per context: new threads/contexts start empty,
         # copy_context() hand-offs inherit the parent chain read-only.
         self._stack: ContextVar[Tuple[SpanRecord, ...]] = ContextVar(
@@ -416,8 +427,11 @@ class MetricsRegistry:
                 wall_start=time.time(),
                 trace_id=current_trace_id(),
             )
+            evicting = len(self.spans) == self.spans.maxlen
             self.spans.append(record)
             self._thread_spans.setdefault(threading.get_ident(), []).append(record)
+        if evicting:
+            self.counter(DROPPED_SPANS_METRIC).inc()
         self._stack.set(stack + (record,))
         return _SpanContext(self, record)
 

@@ -219,7 +219,6 @@ def test_supervisor_restarts_sigkilled_worker(tmp_path):
         supervise=True,
         heartbeat_seconds=0.05,
         max_restarts=2,
-        max_retries=2,
         retry_backoff_seconds=0.02,
     )
     manager = ClusterManager(config).start()

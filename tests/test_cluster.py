@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pty
 import queue
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -308,7 +311,7 @@ def test_batcher_close_hands_queued_items_to_on_undispatched():
 def test_shard_death_retries_requests_queued_behind_its_window():
     # A request queued on a shard when its worker dies is re-routed like
     # the dead window's orphans: it must not fail with "batcher closed".
-    manager = ClusterManager(ClusterConfig(shards=2, supervise=True, max_retries=2))
+    manager = ClusterManager(ClusterConfig(shards=2, supervise=True))
     handle = manager._handles["shard-00"]
     survivor = manager._handles["shard-01"]
     batcher, windows = _recording_batcher()
@@ -700,6 +703,75 @@ def test_malformed_instance_documents_do_not_kill_the_shard():
         result = manager.submit("approx", doc)
         assert result["status"] == 200, result
         assert manager.healthy_shards() == {"shard-00"}
+
+
+@contextlib.contextmanager
+def _worker_stopped(manager, shard="shard-00"):
+    """Hold a shard's worker process stopped for the block (SIGSTOP/SIGCONT).
+
+    Windows sent meanwhile stay in flight, so later requests queue at the
+    shard's batcher for as long as the test needs, however fast it solves.
+    """
+    pid = manager._handles[shard].process.pid
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        os.kill(pid, signal.SIGCONT)
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def test_unreadable_budget_fails_only_its_own_request_in_a_budgeted_window():
+    # With a global budget the front-end reads each request's budget to
+    # size the window's lease before any shard has parsed the document.
+    # A budget it cannot read must cost only its own request a 400.
+    doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
+    window = [doc, {**doc, "budget": "x"}, {**doc, "budget": float("nan")}, [doc], doc]
+    config = ClusterConfig(
+        shards=1, budget=1e12, max_batch=8, max_wait_seconds=30.0, profile_hz=0.0, supervise=False
+    )
+    with ClusterManager(config) as manager, ThreadPoolExecutor(max_workers=6) as pool:
+        handle = manager._handles["shard-00"]
+        with _worker_stopped(manager):
+            first = pool.submit(manager.submit, "approx", doc)
+            _wait_for(lambda: bool(handle.inflight))
+            futures = [pool.submit(manager.submit, "approx", d) for d in window]
+            _wait_for(lambda: handle.batcher.depth == len(window))  # one window, behind the first
+        assert first.result(timeout=60)["status"] == 200
+        results = [f.result(timeout=60) for f in futures]
+    assert [r["status"] for r in results] == [200, 400, 400, 400, 200], results
+
+
+def test_cluster_queue_bound_answers_queue_full():
+    # The shard's batcher bounds its queue: with one request in flight and
+    # one queued, the next is refused 503 queue_full with a Retry-After.
+    doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
+    config = ClusterConfig(shards=1, max_queue_per_shard=1, max_wait_seconds=30.0, profile_hz=0.0, supervise=False)
+    with ClusterManager(config) as manager, ThreadPoolExecutor(max_workers=2) as pool:
+        server = make_cluster_server(manager)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        handle = manager._handles["shard-00"]
+        try:
+            with _worker_stopped(manager):
+                in_flight = pool.submit(manager.submit, "approx", doc)
+                _wait_for(lambda: bool(handle.inflight))
+                queued = pool.submit(manager.submit, "approx", doc)
+                _wait_for(lambda: handle.batcher.depth == 1)
+                status, headers, body = _post_solve(base, doc)
+            assert status == 503 and body["error"] == "queue_full", body
+            assert headers["Retry-After"] == "1"
+            assert in_flight.result(timeout=60)["status"] == 200
+            assert queued.result(timeout=60)["status"] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 def test_solve_step_answers_500_when_the_journal_fails():

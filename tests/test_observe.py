@@ -97,6 +97,23 @@ class TestExtraction:
         assert trace_ids(snap) == trace_ids(reg)
         assert trace_spans(snap, "deadbeefdeadbeef") == trace_spans(reg, "deadbeefdeadbeef")
 
+    def test_registry_keeps_the_newest_spans(self, monkeypatch):
+        from repro.telemetry import registry
+
+        monkeypatch.setattr(registry, "MAX_SPANS", 4)
+        reg = traced_registry()  # five spans: the untraced one is pushed out
+        assert [s.name for s in reg.spans] == ["request", "admission", "solve", "inner"]
+        assert reg.get("telemetry_spans_dropped_total").value == 1.0
+        names = [s["name"] for s in trace_spans(reg, "deadbeefdeadbeef")]
+        assert names == ["request", "admission", "solve", "inner"]
+        with collector(reg):
+            with start_trace("next", trace_id="feedfacefeedface"):
+                pass
+        assert reg.get("telemetry_spans_dropped_total").value == 2.0
+        assert len(reg.snapshot()["spans"]) == 4
+        names = [s["name"] for s in trace_spans(reg, "deadbeefdeadbeef")]
+        assert names == ["admission", "solve", "inner"]
+
     def test_iter_trace_trees(self):
         reg = traced_registry()
         spans = trace_spans(reg, "deadbeefdeadbeef")

@@ -11,13 +11,10 @@ from repro.overload import (
     BROWNOUT_LADDER,
     AdmitRateController,
     BrownoutController,
-    DeadlineShedder,
     QueueDelaySignal,
-    RingWindow,
     normalize_priority,
 )
 from repro.resilience.admission import AdmissionController
-from repro.utils.errors import ValidationError
 
 from conftest import make_instance
 
@@ -36,44 +33,16 @@ class FakeClock:
         return self.now
 
 
-# -- RingWindow ------------------------------------------------------------------
-
-
-def test_ring_window_statistics():
-    ring = RingWindow(4)
-    assert ring.minimum() is None and ring.mean() is None and ring.quantile(0.99) is None
-    for value in (3.0, 1.0, 2.0):
-        ring.add(value)
-    assert len(ring) == 3
-    assert ring.minimum() == 1.0
-    assert ring.mean() == pytest.approx(2.0)
-    assert ring.quantile(0.0) == 1.0
-    assert ring.quantile(1.0) == 3.0
-
-
-def test_ring_window_evicts_oldest_at_capacity():
-    ring = RingWindow(3)
-    for value in (10.0, 20.0, 30.0, 40.0):
-        ring.add(value)
-    assert len(ring) == 3
-    assert ring.minimum() == 20.0  # the 10.0 was overwritten
-
-
-def test_ring_window_rejects_bad_capacity():
-    with pytest.raises(ValidationError):
-        RingWindow(0)
-
-
 # -- QueueDelaySignal ------------------------------------------------------------
 
 
 def test_signal_ewma_and_tail():
     clock = FakeClock()
-    signal = QueueDelaySignal(ewma_alpha=0.5, clock=clock)
+    signal = QueueDelaySignal(clock=clock)
     assert signal.sojourn_ewma is None and signal.sojourn_p99() is None
     signal.observe_sojourn(1.0)
     signal.observe_sojourn(3.0)
-    assert signal.sojourn_ewma == pytest.approx(2.0)  # 0.5*3 + 0.5*1
+    assert signal.sojourn_ewma == pytest.approx(1.4)  # 0.2*3 + 0.8*1
     assert signal.sojourn_p99() == 3.0
     assert signal.sojourn_floor() == 1.0
     signal.observe_service(0.25)
@@ -185,15 +154,15 @@ def test_normalize_priority():
     assert normalize_priority("VIP") == "standard"
 
 
-# -- DeadlineShedder -------------------------------------------------------------
+# -- the deadline check ---------------------------------------------------------
 
 
 def test_shedder_without_samples_sheds_only_past_deadline():
-    shedder = DeadlineShedder(QueueDelaySignal(clock=FakeClock()))
-    assert not shedder.doomed(None)
-    assert not shedder.doomed(0.001)  # no floor yet: conservative
-    assert shedder.doomed(0.0)
-    assert shedder.doomed(-1.0)
+    signal = QueueDelaySignal(clock=FakeClock())
+    assert not signal.doomed(None)
+    assert not signal.doomed(0.001)  # no floor yet: conservative
+    assert signal.doomed(0.0)
+    assert signal.doomed(-1.0)
 
 
 def test_shedder_never_drops_an_idle_feasible_request():
@@ -201,19 +170,12 @@ def test_shedder_never_drops_an_idle_feasible_request():
     means an idle system could serve it in time — never shed."""
     clock = FakeClock()
     signal = QueueDelaySignal(clock=clock)
-    shedder = DeadlineShedder(signal)
     signal.observe_service(0.2)
     signal.observe_service(0.05)  # the optimistic floor
     signal.observe_sojourn(3.0)  # heavy congestion right now
-    assert not shedder.doomed(0.05)  # == floor: an idle shard makes it
-    assert not shedder.doomed(1.0)
-    assert shedder.doomed(0.04)  # below even the idle floor: certain miss
-    assert shedder.estimate_completion_seconds() == pytest.approx(3.0)
-
-
-def test_shedder_rejects_bad_safety_factor():
-    with pytest.raises(ValidationError):
-        DeadlineShedder(QueueDelaySignal(clock=FakeClock()), safety_factor=1.5)
+    assert not signal.doomed(0.05)  # == floor: an idle shard makes it
+    assert not signal.doomed(1.0)
+    assert signal.doomed(0.04)  # below even the idle floor: certain miss
 
 
 # -- BrownoutController ----------------------------------------------------------
@@ -386,45 +348,7 @@ def test_batcher_dispatches_and_resolves_across_classes():
         b.close()
 
 
-# -- AdmissionController with a pluggable load signal ----------------------------
-
-
-def test_admission_consults_the_load_signal():
-    verdicts = {"best_effort": ("brownout_shed", 2.0)}
-    ctl = AdmissionController(
-        max_in_flight=4, load_signal=lambda priority: verdicts.get(priority)
-    )
-    decision = ctl.try_begin(priority="best_effort")
-    assert not decision.admitted
-    assert decision.reason == "brownout_shed"
-    assert decision.retry_after_seconds == 2.0
-    assert ctl.in_flight == 0  # a rejected request claimed no slot
-    admitted = ctl.try_begin(priority="interactive")
-    assert admitted.admitted
-    ctl.finish(failure=False)
-
-
-def test_admission_load_signal_rejection_returns_breaker_probe():
-    clock = FakeClock()
-    from repro.resilience.admission import BreakerState, CircuitBreaker
-
-    breaker = CircuitBreaker(failure_threshold=1, reset_seconds=1.0, clock=clock)
-    calls = {"n": 0}
-
-    def signal(priority):
-        calls["n"] += 1
-        return ("overload", 1.0) if calls["n"] == 1 else None
-
-    ctl = AdmissionController(max_in_flight=4, breaker=breaker, load_signal=signal)
-    breaker.record_failure()  # open
-    clock.advance(1.5)  # half-open: one probe available
-    rejected = ctl.try_begin()  # consumes the probe, then the signal rejects
-    assert not rejected.admitted and rejected.reason == "overload"
-    # The probe was handed back: the next request can still be the probe.
-    assert breaker.state == BreakerState.HALF_OPEN
-    assert ctl.try_begin().admitted
-    ctl.finish(failure=False)
-    assert breaker.state == BreakerState.CLOSED
+# -- AdmissionController ---------------------------------------------------------
 
 
 def test_admission_without_signal_unchanged():
@@ -491,3 +415,33 @@ def test_cluster_overload_snapshot_shape(overload_cluster, instance_doc):
     (shard_stats,) = overload["shards"].values()
     assert 0.0 < shard_stats["admit_rate"] <= 1.0
     assert "queue_delay" in shard_stats
+
+
+def test_frontend_sheds_doomed_then_brownout_then_overload():
+    # The front-end's one admission path, in order: a doomed deadline,
+    # then the best-effort shed of brownout rung 3, then the AIMD refusal.
+    # Nothing here reaches the batcher, so no worker needs to run.
+    config = ClusterConfig(shards=1, queue_target_seconds=0.5, brownout_target_p99_seconds=1.0)
+    manager = ClusterManager(config)
+    manager._handles["shard-00"].alive = True
+    state = manager._overload["shard-00"]
+    state.signal.observe_service(1.0)  # no request with under 1 s left can make it
+    clock = FakeClock()
+    manager.brownout = brownout(clock)
+    for _ in range(3):
+        clock.advance(1.1)
+        manager.brownout.update(50.0)
+    assert manager.brownout.current.shed_best_effort
+    state.controller = AdmitRateController(interval_seconds=1.0, clock=clock)
+    for _ in range(12):
+        clock.advance(1.1)
+        state.controller.observe(10.0)
+    assert state.controller.admit("standard")  # spends the starting credit
+
+    doomed = manager.submit("approx", {}, priority="best_effort", deadline_seconds=0.5)
+    shed = manager.submit("approx", {}, priority="best_effort")
+    refused = manager.submit("approx", {}, priority="standard")
+    assert (doomed["error"], doomed["retry_after"]) == ("deadline_doomed", 1.0)
+    assert (shed["error"], shed["retry_after"]) == ("brownout_shed", 2.0)
+    assert (refused["error"], refused["retry_after"]) == ("overload", 1.0)
+    assert all(doc["status"] == 503 for doc in (doomed, shed, refused))

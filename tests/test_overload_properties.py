@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import EnergyLeaseLedger
-from repro.overload import AdmitRateController, DeadlineShedder, QueueDelaySignal
+from repro.overload import AdmitRateController, QueueDelaySignal
 
 SHARDS = ["shard-00", "shard-01"]
 
@@ -88,9 +88,8 @@ def test_shed_admit_interleavings_never_overspend(budget, events):
         st.floats(min_value=0.0, max_value=60.0, allow_nan=False), max_size=32
     ),
     margin=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    safety=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
 )
-def test_shedder_never_drops_idle_feasible_requests(services, sojourns, margin, safety):
+def test_shedder_never_drops_idle_feasible_requests(services, sojourns, margin):
     """Any remaining budget >= the idle service floor is never shed,
     no matter how congested the observed sojourns say the shard is."""
     signal = QueueDelaySignal(clock=lambda: 0.0)
@@ -98,10 +97,9 @@ def test_shedder_never_drops_idle_feasible_requests(services, sojourns, margin, 
         signal.observe_service(value)
     for value in sojourns:
         signal.observe_sojourn(value)
-    shedder = DeadlineShedder(signal, safety_factor=safety)
     floor = min(services)
-    assert not shedder.doomed(floor + margin)
-    assert shedder.doomed(0.0)
+    assert not signal.doomed(floor + margin)
+    assert signal.doomed(0.0)
 
 
 @settings(max_examples=60, deadline=None)
