@@ -476,6 +476,10 @@ def _run_online(args: argparse.Namespace) -> int:
     from .online.planner import RollingHorizonPlanner
     from .workloads.arrivals import PoissonArrivals
 
+    if args.journal_dir is None and (args.degrade or args.budget_fraction is not None):
+        # Only the durable run carries a global budget to degrade against.
+        print("error: --degrade and --budget-fraction need --journal-dir", file=sys.stderr)
+        return 2
     cluster = sample_uniform_cluster(args.machines, seed=args.seed)
     requests = PoissonArrivals(args.rate, seed=args.seed + 1).generate(args.horizon)
     if not requests:
@@ -487,13 +491,6 @@ def _run_online(args: argparse.Namespace) -> int:
         window_seconds=args.window,
         power_cap_fraction=args.power_cap_fraction,
     )
-    budget = args.budget_fraction * args.horizon * cluster.total_power
-    degradation = None
-    if args.degrade:
-        from .resilience.degrade import DegradationPolicy
-
-        degradation = DegradationPolicy.default()
-
     if args.journal_dir is None:
         report = planner.run(requests)
         print(f"served {report.n_requests} requests in {len(report.windows)} windows ({args.scheduler})")
@@ -501,6 +498,13 @@ def _run_online(args: argparse.Namespace) -> int:
         print(f"energy {report.total_energy:.1f} J")
         return 0
 
+    budget_fraction = 0.35 if args.budget_fraction is None else args.budget_fraction
+    budget = budget_fraction * args.horizon * cluster.total_power
+    degradation = None
+    if args.degrade:
+        from .resilience.degrade import DegradationPolicy
+
+        degradation = DegradationPolicy.default()
     report = planner.run_durable(
         requests,
         args.journal_dir,
@@ -863,14 +867,15 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             return 2
         from .durability import read_events
 
+        events = read_events(args.journal_dir)
+        if not events:
+            print(f"error: no journal records under {args.journal_dir}", file=sys.stderr)
+            return 2
         monitor = BurnRateMonitor(budget=args.budget, horizon=args.horizon)
         samples = 0
-        for event in read_events(args.journal_dir):
-            if event.get("type") in ("window_done", "run_end") and "cum_energy" in event:
-                t = event.get("start", event.get("horizon"))
-                if t is None:
-                    continue
-                for alert in monitor.observe(float(t), float(event["cum_energy"])):
+        for event in events:
+            if event.get("type") == "window_done" and "cum_energy" in event:
+                for alert in monitor.observe(float(event["start"]), float(event["cum_energy"])):
                     print(f"ALERT {alert}")
                     failed = True
                 samples += 1
@@ -1256,12 +1261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_onl.add_argument(
         "--budget-fraction",
         type=float,
-        default=0.35,
-        help="global budget B as a fraction of horizon × total power (durable runs)",
+        default=None,
+        help="global budget B as a fraction of horizon × total power (needs --journal-dir; default 0.35)",
     )
     p_onl.add_argument("--scheduler", default="approx", help="planning method (see `schedulers`)")
     p_onl.add_argument("--seed", type=int, default=0)
-    p_onl.add_argument("--degrade", action="store_true", help="apply the default degradation policy")
+    p_onl.add_argument(
+        "--degrade", action="store_true", help="apply the default degradation policy (needs --journal-dir)"
+    )
     p_onl.add_argument(
         "--journal-dir",
         type=Path,

@@ -20,11 +20,10 @@ Four parts, layered:
   run at arbitrary journal bytes (mid-record included), recover, resume,
   and demand bit-identical outcomes.
 
-:class:`~repro.durability.run.DurableRun` ties them into a resumable
-rolling-horizon serving loop;
+:class:`~repro.durability.run.DurableRun` ties them into the one
+resumable rolling-horizon serving loop that carries the global budget;
 :meth:`repro.online.planner.RollingHorizonPlanner.run_durable` and
-:class:`~repro.simulator.online_sim.OnlineSimulation` (``journal=``)
-wire it through the stack.
+``repro online --journal-dir`` reach it.
 :class:`~repro.durability.solve_journal.SolveJournal` is the per-solve
 energy ledger of both servers (``repro serve --journal-dir`` and each
 cluster shard).

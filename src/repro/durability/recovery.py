@@ -138,9 +138,7 @@ def audit(
     if budget is not None and not math.isfinite(float(budget)):
         budget = None
 
-    # A restarted OnlineSimulation charges its predecessor's spend up
-    # front; the ledger chain starts there, not at zero.
-    previous_cum = float(state.meta.get("initial_energy_spent") or 0.0)
+    previous_cum = 0.0
     for position, window in enumerate(state.windows):
         index = int(window["window"])
         label = f"window {index}"

@@ -148,8 +148,7 @@ class DurableRun:
     committed windows are replayed from the log, the rest are solved.
 
     Parameters mirror :class:`~repro.online.planner.RollingHorizonPlanner`
-    plus the global budget machinery of
-    :class:`~repro.simulator.online_sim.OnlineSimulation`:
+    plus the global budget ledger, which only this loop carries:
     ``energy_budget`` caps cumulative spend across *all* windows (and
     restarts — that is the point), ``degradation`` maps spend pressure
     to compression/shedding, ``snapshot_every`` checkpoints state every

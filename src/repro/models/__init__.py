@@ -1,15 +1,11 @@
 """Synthetic Once-For-All model substrate (paper Fig. 2) and profiler."""
 
-from .evaluation import BatchEvaluation, evaluate_schedule_batches, sample_batch_accuracy
 from .fitting import FitResult, accuracy_from_measurements, fit_exponential
 from .ofa import OnceForAllFamily, SubnetworkConfig, SubnetworkProfile
 from .profiler import Measurement, SimulatedProfiler
 from .zoo import MODEL_ZOO, get_family, ofa_mobilenet_v3, ofa_proxyless, ofa_resnet50
 
 __all__ = [
-    "BatchEvaluation",
-    "evaluate_schedule_batches",
-    "sample_batch_accuracy",
     "FitResult",
     "fit_exponential",
     "accuracy_from_measurements",

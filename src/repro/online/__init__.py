@@ -1,6 +1,5 @@
 """Online serving: rolling-horizon planning over request streams."""
 
-from .adaptive import AdaptiveBudgetPlanner
 from .planner import RollingHorizonPlanner, ServingReport, WindowOutcome
 
-__all__ = ["RollingHorizonPlanner", "AdaptiveBudgetPlanner", "ServingReport", "WindowOutcome"]
+__all__ = ["RollingHorizonPlanner", "ServingReport", "WindowOutcome"]

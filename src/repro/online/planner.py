@@ -7,9 +7,8 @@ the buffered batch as a DSCT-EA instance whose deadlines are the
 requests' SLOs relative to a planning instant, and whose budget is the
 window's share of a global power cap.
 
-:func:`window_instance` is that step, shared by every online path.  The
-planning instant is the caller's: :class:`RollingHorizonPlanner`,
-:class:`~repro.online.adaptive.AdaptiveBudgetPlanner` and
+:func:`window_instance` is that step, shared by the three window loops.
+The planning instant is the caller's: :class:`RollingHorizonPlanner` and
 :class:`~repro.durability.run.DurableRun` plan at the window *start*, so
 a request's work can be scheduled before the request arrives;
 :class:`~repro.simulator.online_sim.OnlineSimulation` plans at the tick
@@ -20,7 +19,10 @@ from 0.409 to 0.231 and its on-time share from 0.82 to 0.54.
 
 :class:`RollingHorizonPlanner` formalises the loop around any
 :class:`~repro.algorithms.base.Scheduler`; the ``mlaas_online_serving``
-example is a thin wrapper over it.
+example is a thin wrapper over it.  A global energy budget across
+windows (grant clipping, degradation, journal, resume) is
+:meth:`RollingHorizonPlanner.run_durable`; execution under machine
+failures, with or without replanning, is the simulator's.
 """
 
 from __future__ import annotations
@@ -222,60 +224,3 @@ class RollingHorizonPlanner:
             fsync=fsync,
             meta=meta,
         ).run(requests)
-
-    def run_with_failures(
-        self,
-        requests: Sequence[Request],
-        failures,
-        *,
-        replan: bool = True,
-    ) -> ServingReport:
-        """Plan the stream, then *execute* each window under failures.
-
-        ``failures`` is a :class:`~repro.simulator.failures.FailureModel`
-        on the stream's absolute clock; each window replays its schedule
-        against the failures expressed in window-local time
-        (:meth:`~repro.simulator.failures.FailureModel.shifted`), so a
-        machine that died in an earlier window stays dead.  With
-        ``replan=True`` every in-window failure triggers a residual
-        replan onto survivors
-        (:func:`~repro.resilience.replan.replay_with_replanning`); with
-        ``replan=False`` the stale schedule runs as planned and loses the
-        dead machine's queue — the baseline.  Reported accuracies,
-        on-time counts and energy are the *realised* ones.
-        """
-        from ..resilience.replan import replay_with_replanning
-        from ..simulator.failures import replay_with_failures
-
-        tele = get_collector()
-        outcomes: List[WindowOutcome] = []
-        with ensure_trace(), tele.span("planner.run_with_failures"):
-            for start, batch in window_batches(list(requests), self.window_seconds):
-                _, instance = window_instance(batch, start, self.cluster, self.window_budget)
-                with tele.span("planner.window.solve"):
-                    schedule = self.scheduler.solve(instance)
-                local = failures.shifted(start)
-                if replan:
-                    report = replay_with_replanning(
-                        instance, self.scheduler, local, schedule=schedule
-                    )
-                else:
-                    report = replay_with_failures(instance, schedule, local)
-                served = report.task_flops > 0
-                missed = set(report.deadline_misses)
-                on_time = int(sum(1 for j in range(len(batch)) if served[j] and j not in missed))
-                tele.counter("planner_windows_total").inc()
-                tele.counter("planner_requests_total").add(len(batch))
-                tele.counter("planner_on_time_total").add(on_time)
-                tele.counter("planner_accuracy_total").add(float(report.task_accuracies.sum()))
-                outcomes.append(
-                    WindowOutcome(
-                        start=start,
-                        n_requests=len(batch),
-                        schedule=schedule,
-                        accuracies=report.task_accuracies,
-                        on_time=on_time,
-                        energy=report.energy,
-                    )
-                )
-        return ServingReport(tuple(outcomes))

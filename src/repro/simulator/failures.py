@@ -89,8 +89,8 @@ class FailureModel:
                 return s
         return None
 
-    # -- event-stream view (consumed by repro.resilience.replan and the
-    # -- online simulator, which react to failures one event at a time) --------
+    # -- event-stream view (consumed by the online simulator, which reacts
+    # -- to failures one event at a time) ---------------------------------------
 
     def events(self) -> Tuple["FailureEvent", ...]:
         """All failures as one time-ordered stream.
@@ -100,25 +100,6 @@ class FailureModel:
         """
         stream: List[FailureEvent] = list(self.outages) + list(self.slowdowns)
         return tuple(sorted(stream, key=lambda e: (e.at, isinstance(e, Slowdown))))
-
-    def shifted(self, offset: float) -> "FailureModel":
-        """The same failures on a clock that starts ``offset`` seconds later.
-
-        Event times are reduced by ``offset`` and clamped at zero: a
-        machine that already died is dead from the start of the shifted
-        frame, a running slowdown applies from time zero.  Used to
-        express a global failure stream in window-local coordinates.
-        """
-        return FailureModel(
-            outages=tuple(Outage(o.machine, max(o.at - offset, 0.0)) for o in self.outages),
-            slowdowns=tuple(
-                Slowdown(s.machine, max(s.at - offset, 0.0), s.factor) for s in self.slowdowns
-            ),
-        )
-
-    def dead_machines(self, at: float) -> frozenset:
-        """Machines whose outage has struck by time ``at`` (inclusive)."""
-        return frozenset(o.machine for o in self.outages if o.at <= at)
 
 
 #: One entry of :meth:`FailureModel.events`.

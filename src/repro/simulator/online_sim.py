@@ -25,10 +25,9 @@ stretches every share planned on the machine from its onset.  With
 outage destroyed are re-buffered into the next planning window, and
 planning only targets surviving machines at their effective speeds (the
 stale-plan baseline, ``replan=False``, keeps planning onto dead machines
-and loses that work).  A global ``energy_budget`` plus a
-:class:`~repro.resilience.degrade.DegradationPolicy` additionally
-degrade windows gracefully under energy pressure instead of overrunning
-the budget.
+and loses that work).  Every window is granted the same
+power-cap budget; a global budget across windows, with degradation,
+journal and resume, is :class:`~repro.durability.run.DurableRun`'s.
 
 This is the library's end-to-end substrate for the MLaaS serving story
 the paper motivates in its introduction.
@@ -44,9 +43,9 @@ import numpy as np
 from ..algorithms.base import Scheduler
 from ..core.machine import Cluster, Machine
 from ..online.planner import window_instance
-from ..telemetry import current_trace_id, ensure_trace, get_collector
+from ..telemetry import ensure_trace, get_collector
 from ..utils.errors import ReproError, SimulationError
-from ..utils.validation import check_nonnegative, check_positive, require
+from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request
 from .engine import EventQueue
 from .failures import FailureModel, Outage
@@ -145,33 +144,6 @@ class OnlineSimulation:
         Failure-aware mode: re-buffer disrupted requests into the next
         window and plan only on surviving machines at effective speeds.
         Off by default — the stale-plan baseline.
-    energy_budget:
-        Optional global energy cap (J).  Window budgets are clipped to
-        what remains of it, and it anchors the degradation policy's
-        spent-fraction watermarks.
-    degradation:
-        Optional :class:`~repro.resilience.degrade.DegradationPolicy`
-        applied to each window's instance (requires ``energy_budget``).
-    journal:
-        Optional :class:`~repro.durability.journal.JournalWriter`: the
-        run appends arrivals, window plans, realised shares, failures,
-        degradation changes and the cumulative energy ledger, so a
-        crashed serving process can account for spent joules on restart
-        (:func:`repro.durability.recover`).  The journaled ledger is
-        *planned* spend — a conservative upper bound; outage refunds
-        only ever lower realised energy below it.
-    initial_energy_spent:
-        Energy (J) already charged against ``energy_budget`` by a
-        previous incarnation of this run — feed it
-        ``recover(journal_dir).energy_spent`` and the budget clipping
-        and degradation watermarks resume where the crash left them
-        instead of silently granting the budget twice.
-    slo:
-        Optional :class:`~repro.observe.slo.BurnRateMonitor`: after
-        every planning window the cumulative energy ledger is fed to it
-        (``observe(window_start, cum_energy)``); alerts it fires bump
-        ``slo_alerts_total{severity=...}`` and are journaled as
-        ``slo_alert`` events.
     """
 
     def __init__(
@@ -183,30 +155,15 @@ class OnlineSimulation:
         power_cap_fraction: float = 0.5,
         failures: Optional[FailureModel] = None,
         replan: bool = False,
-        energy_budget: Optional[float] = None,
-        degradation=None,
-        journal=None,
-        initial_energy_spent: float = 0.0,
-        slo=None,
     ):
         check_positive(window_seconds, "window_seconds")
         require(power_cap_fraction > 0, "power_cap_fraction must be > 0")
-        check_nonnegative(initial_energy_spent, "initial_energy_spent")
-        if energy_budget is not None:
-            check_positive(energy_budget, "energy_budget")
-        if degradation is not None and energy_budget is None:
-            raise SimulationError("a degradation policy needs energy_budget to measure pressure against")
         self.cluster = cluster
         self.scheduler = scheduler
         self.window_seconds = float(window_seconds)
         self.power_cap_fraction = float(power_cap_fraction)
         self.failures = failures if failures is not None else FailureModel()
         self.replan = bool(replan)
-        self.energy_budget = energy_budget
-        self.degradation = degradation
-        self.journal = journal
-        self.initial_energy_spent = float(initial_energy_spent)
-        self.slo = slo
         for o in self.failures.outages:
             require(0 <= o.machine < len(cluster), f"outage references machine {o.machine}")
         for s in self.failures.slowdowns:
@@ -220,8 +177,7 @@ class OnlineSimulation:
         """Simulate the full stream; returns measured per-request records.
 
         Runs under one trace (the caller's active trace id or a fresh
-        one); journaled events carry it, so a journal correlates with
-        the run's spans post hoc.
+        one), so every window's spans correlate.
         """
         with ensure_trace(), get_collector().span("online_sim.run"):
             report = self._run(requests)
@@ -246,30 +202,10 @@ class OnlineSimulation:
         alive = np.ones(m, dtype=bool)
         factor = np.ones(m)  # slowdown speed multipliers
         pending: List[List[_Dispatch]] = [[] for _ in range(m)]
-        powers = self.cluster.powers
         tele = get_collector()
-        # Energy ledger mirrored into the journal: cum starts at whatever a
-        # crashed predecessor already spent, and only ever grows (outage
-        # refunds lower realised energy *below* the ledger, never above).
-        ledger = {"cum": self.initial_energy_spent, "window": 0, "level": -1}
-        self._journal(
-            {
-                "type": "run_start",
-                "meta": {
-                    "kind": "online_sim",
-                    "n_requests": len(records),
-                    "window_seconds": self.window_seconds,
-                    "power_cap_fraction": self.power_cap_fraction,
-                    "energy_budget": self.energy_budget,
-                    "initial_energy_spent": self.initial_energy_spent,
-                    "replan": self.replan,
-                },
-            }
-        )
 
         def arrive(idx: int) -> None:
             buffered.append(idx)
-            self._journal({"type": "arrival", "id": idx, "t": queue.now})
 
         def on_outage(r: int) -> None:
             if not alive[r]:
@@ -277,7 +213,6 @@ class OnlineSimulation:
             alive[r] = False
             now = queue.now
             tele.counter("online_sim_outages_total").inc()
-            self._journal({"type": "failure", "kind": "outage", "machine": r, "t": now})
             for d in pending[r]:
                 if d.cancelled or (d.rec.finish is not None and d.end <= now):
                     continue
@@ -309,9 +244,6 @@ class OnlineSimulation:
             # keep their nominal duration; every later window plans the
             # machine at its reduced effective speed.
             factor[r] = f
-            self._journal(
-                {"type": "failure", "kind": "slowdown", "machine": r, "factor": f, "t": queue.now}
-            )
 
         def plan_window() -> None:
             nonlocal buffered
@@ -321,8 +253,7 @@ class OnlineSimulation:
                 buffered = []
                 self._plan_and_dispatch(
                     batch, records, window_start, machine_free_at, busy, queue,
-                    alive=alive, factor=factor, pending=pending, powers=powers,
-                    ledger=ledger,
+                    alive=alive, factor=factor, pending=pending,
                 )
             # Next window tick while there can still be arrivals or work.
             if queue.now < horizon:
@@ -342,48 +273,13 @@ class OnlineSimulation:
         if buffered:
             self._plan_and_dispatch(
                 list(buffered), records, queue.now, machine_free_at, busy, queue,
-                alive=alive, factor=factor, pending=pending, powers=powers,
-                ledger=ledger,
+                alive=alive, factor=factor, pending=pending,
             )
             queue.run()
 
-        energy = float(busy @ powers)
-        self._journal(
-            {
-                "type": "run_end",
-                "energy_realized": energy,
-                "cum_energy": ledger["cum"],
-                "horizon": queue.now,
-            }
-        )
-        return OnlineSimReport(tuple(records), busy, energy, queue.now)
+        return OnlineSimReport(tuple(records), busy, float(busy @ self.cluster.powers), queue.now)
 
     # -- internals -------------------------------------------------------------
-
-    def _journal(self, event: dict) -> None:
-        if self.journal is not None:
-            trace_id = current_trace_id()
-            if trace_id is not None and "trace_id" not in event:
-                event = {**event, "trace_id": trace_id}
-            self.journal.append(event)
-
-    def _observe_slo(self, t: float, cum_energy: float) -> None:
-        """Feed the burn-rate monitor one ledger sample; record alerts."""
-        if self.slo is None:
-            return
-        tele = get_collector()
-        for alert in self.slo.observe(t, cum_energy):
-            tele.counter("slo_alerts_total", severity=alert.severity).inc()
-            self._journal(
-                {
-                    "type": "slo_alert",
-                    "severity": alert.severity,
-                    "t": alert.at,
-                    "burn_rate": alert.burn_rate,
-                    "window": alert.window,
-                    "threshold": alert.threshold,
-                }
-            )
 
     def _planning_view(self, alive: np.ndarray, factor: np.ndarray):
         """The cluster the planner sees, plus sub-index → machine map.
@@ -404,18 +300,6 @@ class OnlineSimulation:
             machines.append(Machine(speed=base.speed * f, efficiency=base.efficiency * f, name=base.name))
         return Cluster(machines), index_map
 
-    def _window_budget_now(self, busy: np.ndarray, powers: np.ndarray) -> float:
-        """This window's energy grant, clipped to the global remainder.
-
-        The remainder charges both this incarnation's committed busy time
-        and any journaled spend inherited from a crashed predecessor.
-        """
-        budget = self.window_budget
-        if self.energy_budget is not None:
-            committed = self.initial_energy_spent + float(busy @ powers)
-            budget = min(budget, max(self.energy_budget - committed, 0.0))
-        return budget
-
     def _plan_and_dispatch(
         self,
         batch: List[int],
@@ -428,34 +312,9 @@ class OnlineSimulation:
         alive: np.ndarray,
         factor: np.ndarray,
         pending: List[List[_Dispatch]],
-        powers: np.ndarray,
-        ledger: Optional[dict] = None,
     ) -> None:
         """Solve the batched instance and enqueue execution of the shares."""
         tele = get_collector()
-        ledger = ledger if ledger is not None else {"cum": self.initial_energy_spent, "window": 0, "level": -1}
-        window_index = ledger["window"]
-        ledger["window"] += 1
-
-        def commit_empty(note: str) -> None:
-            """Journal a window that served nothing (ledger unchanged)."""
-            self._journal(
-                {
-                    "type": "window_done",
-                    "window": window_index,
-                    "start": window_start,
-                    "ids": list(batch),
-                    "deadlines": [],
-                    "flops": [],
-                    "caps": [],
-                    "energy": 0.0,
-                    "cum_energy": ledger["cum"],
-                    "level": ledger["level"],
-                    "note": note,
-                }
-            )
-            self._observe_slo(window_start, ledger["cum"])
-
         cluster, index_map = self._planning_view(alive, factor)
         reqs = [records[i].request for i in batch]
         if cluster is None:
@@ -463,33 +322,10 @@ class OnlineSimulation:
             for i in batch:
                 records[i].planned_window = window_start
             tele.counter("online_sim_unservable_windows_total").inc()
-            commit_empty("unservable")
             return
         # Planned at the tick that closes the window: a request that has
         # already burnt part of its SLO waiting gets only the remainder.
-        order, instance = window_instance(reqs, window_start, cluster, self._window_budget_now(busy, powers))
-        tasks = instance.tasks
-        self._journal(
-            {
-                "type": "window_plan",
-                "window": window_index,
-                "start": window_start,
-                "ids": [batch[i] for i in order],
-                "budget": instance.budget,
-            }
-        )
-
-        kept = np.arange(len(batch))
-        if self.degradation is not None:
-            spent = self.initial_energy_spent + float(busy @ powers)
-            decision = self.degradation.apply(instance, spent / self.energy_budget)
-            if decision.degraded:
-                tele.counter("online_sim_degraded_windows_total").inc()
-            if decision.level != ledger["level"]:
-                self._journal({"type": "degrade", "level": decision.level, "window": window_index})
-                ledger["level"] = decision.level
-            instance, kept = decision.instance, decision.kept
-
+        order, instance = window_instance(reqs, window_start, cluster, self.window_budget)
         try:
             with tele.span("online_sim.window.plan"):
                 schedule = self.scheduler.solve(instance)
@@ -499,30 +335,19 @@ class OnlineSimulation:
             tele.counter("online_sim_failed_windows_total").inc()
             for i in batch:
                 records[i].planned_window = window_start
-            commit_empty("solve_failed")
             return
         tele.counter("online_sim_windows_total").inc()
         times = schedule.times
         flops = schedule.task_flops
         accs = schedule.task_accuracies
-        speeds = instance.cluster.speeds
-
-        window_energy = 0.0
-        window_flops = [0.0] * len(batch)
-        planned = {int(k): slot for slot, k in enumerate(kept)}
         for i in range(len(batch)):
             rec = records[batch[order[i]]]
             rec.planned_window = window_start
-            slot = planned.get(i)
-            if slot is None:  # shed by the degradation policy
-                rec.flops = 0.0
-                rec.accuracy = 0.0
-                continue
-            rec.accuracy = float(accs[slot])
-            rec.flops = float(flops[slot])
+            rec.accuracy = float(accs[i])
+            rec.flops = float(flops[i])
             if rec.flops <= 0.0:
                 continue
-            shares = np.nonzero(times[slot] > 0.0)[0]
+            shares = np.nonzero(times[i] > 0.0)[0]
             if shares.size != 1:
                 # Integral schedulers give one machine; fractional inputs
                 # are rejected up front to keep execution semantics clear.
@@ -540,7 +365,7 @@ class OnlineSimulation:
                 rec.disrupted = True
                 tele.counter("online_sim_lost_requests_total").inc()
                 continue
-            duration = float(times[slot, rr])
+            duration = float(times[i, rr])
             if not self.replan:
                 # The stale planner quoted wall time at nominal speed; a
                 # slowed machine physically takes 1/factor longer (same
@@ -550,8 +375,6 @@ class OnlineSimulation:
             start = max(window_start, float(machine_free_at[r]))
             machine_free_at[r] = start + duration
             busy[r] += duration
-            window_energy += duration * float(powers[r])
-            window_flops[i] = rec.flops
             rec.machine = r
             rec.start = start
             dispatch = _Dispatch(
@@ -560,7 +383,7 @@ class OnlineSimulation:
                 start=start,
                 end=start + duration,
                 flops=rec.flops,
-                accuracy_value=instance.tasks[slot].accuracy.value,
+                accuracy_value=instance.tasks[i].accuracy.value,
             )
             pending[r].append(dispatch)
             tele.counter("online_sim_dispatched_total").inc()
@@ -571,24 +394,3 @@ class OnlineSimulation:
                     d.rec.finish = d.end
 
             queue.schedule_at(start + duration, finish)
-
-        ledger["cum"] += window_energy
-        self._observe_slo(window_start, ledger["cum"])
-        if self.journal is not None:
-            caps: List[float] = []
-            if self.degradation is not None and decision.degraded:
-                caps = [decision.work_cap_scale * float(f) for f in tasks.f_max]
-            self._journal(
-                {
-                    "type": "window_done",
-                    "window": window_index,
-                    "start": window_start,
-                    "ids": [batch[i] for i in order],
-                    "deadlines": tasks.deadlines.tolist(),
-                    "flops": window_flops,
-                    "caps": caps,
-                    "energy": window_energy,
-                    "cum_energy": ledger["cum"],
-                    "level": ledger["level"],
-                }
-            )

@@ -30,7 +30,6 @@ from repro.durability import (
 from repro.hardware import sample_uniform_cluster
 from repro.online.planner import RollingHorizonPlanner, window_instance
 from repro.resilience.degrade import DegradationPolicy
-from repro.simulator.online_sim import OnlineSimulation
 from repro.telemetry import MetricsRegistry, collector
 from repro.utils import atomic_write
 from repro.utils.errors import JournalCorruptError, RecoveryError, ValidationError
@@ -507,52 +506,6 @@ class TestDurableWindowCommits:
 # -- the online simulator's journal ----------------------------------------------
 
 
-class TestOnlineSimJournal:
-    def test_journaled_run_certifies(self, cluster, requests, tmp_path):
-        budget = 0.3 * 8.0 * cluster.total_power
-        with JournalWriter(tmp_path, fsync="never") as journal:
-            sim = OnlineSimulation(
-                cluster,
-                make_scheduler("approx"),
-                energy_budget=budget,
-                degradation=DegradationPolicy.default(),
-                journal=journal,
-            )
-            report = sim.run(requests)
-        state = certify(recover(tmp_path), budget=budget)
-        assert state.counts["arrival"] == len(requests)
-        assert state.counts["run_end"] == 1
-        # The journaled ledger is planned spend — an upper bound on realised.
-        assert report.energy <= state.energy_spent + 1e-9
-
-    def test_initial_energy_spent_resumes_the_ledger(self, cluster, requests, tmp_path):
-        budget = 0.3 * 8.0 * cluster.total_power
-        with JournalWriter(tmp_path / "a", fsync="never") as journal:
-            OnlineSimulation(
-                cluster, make_scheduler("approx"), energy_budget=budget, journal=journal
-            ).run(requests)
-        spent = recover(tmp_path / "a").energy_spent
-        assert spent > 0
-        with JournalWriter(tmp_path / "b", fsync="never") as journal:
-            OnlineSimulation(
-                cluster,
-                make_scheduler("approx"),
-                energy_budget=budget,
-                journal=journal,
-                initial_energy_spent=spent,
-            ).run(PoissonArrivals(6.0, seed=2).generate(4.0))
-        resumed = certify(recover(tmp_path / "b"), budget=budget)
-        assert resumed.energy_spent >= spent
-        assert resumed.energy_spent <= budget * (1 + 1e-9)
-
-    def test_negative_initial_spend_rejected(self, cluster):
-        with pytest.raises(ValidationError):
-            OnlineSimulation(cluster, make_scheduler("approx"), initial_energy_spent=-1.0)
-
-
-# -- the durable HTTP server -----------------------------------------------------
-
-
 class TestDurableServer:
     def _spend_one_incarnation(self, journal_dir, body, expect_prev):
         from repro.server import make_server
@@ -658,6 +611,18 @@ class TestDurabilityCLI:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "resumed interrupted run" in second
+
+    @pytest.mark.parametrize(
+        "flags", [["--degrade"], ["--budget-fraction", "0.01"], ["--degrade", "--budget-fraction", "0.01"]]
+    )
+    def test_online_budget_flags_need_journal_dir(self, capsys, flags):
+        """Only the durable run has a global budget; a plain run must not drop the flags."""
+        from repro.cli import main
+
+        assert main(["online", "--horizon", "12", "--rate", "6", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "--journal-dir" in captured.err
+        assert "served" not in captured.out
 
     def test_crashtest_command(self, capsys, tmp_path):
         from repro.cli import main

@@ -157,20 +157,6 @@ class TestEventStream:
         # at t=2.0 the outage precedes the slowdown
         assert isinstance(events[2], Outage) and isinstance(events[3], Slowdown)
 
-    def test_shifted_clamps_past_events_to_zero(self):
-        fm = FailureModel(
-            outages=(Outage(0, 1.0),), slowdowns=(Slowdown(1, 5.0, 0.5),)
-        )
-        shifted = fm.shifted(3.0)
-        assert shifted.outage_at(0) == 0.0  # already dead in the new frame
-        assert shifted.slowdown_for(1).at == 2.0
-
-    def test_dead_machines_inclusive(self):
-        fm = FailureModel(outages=(Outage(0, 1.0), Outage(2, 4.0)))
-        assert fm.dead_machines(0.5) == frozenset()
-        assert fm.dead_machines(1.0) == frozenset({0})
-        assert fm.dead_machines(10.0) == frozenset({0, 2})
-
 
 class TestDurationNoise:
     def test_deterministic_under_fixed_seed(self, case):

@@ -23,10 +23,7 @@ from repro.resilience import (
     FallbackChain,
     FallbackTier,
     Watermark,
-    compare_replanning,
     expand_times,
-    replay_with_replanning,
-    residual_accuracy,
     run_with_deadline,
     truncate_accuracy,
 )
@@ -35,7 +32,6 @@ from repro.simulator.failures import (
     FailureModel,
     Outage,
     Slowdown,
-    replay_with_failures,
 )
 from repro.simulator.online_sim import OnlineSimulation
 from repro.telemetry import collector
@@ -218,118 +214,6 @@ class TestFallbackChain:
         result = chain.solve_with_info(inst)
         assert time.perf_counter() - start < 10.0
         assert result.info.extra["tier"] == "approx"
-
-
-# -- residual accuracy and replanning ------------------------------------------
-
-
-class TestResidualAccuracy:
-    def test_no_work_done_returns_original(self):
-        acc = make_instance(n=3, m=1, beta=0.5, seed=710).tasks[0].accuracy
-        assert residual_accuracy(acc, 0.0) is acc
-
-    def test_complete_task_returns_none(self):
-        inst = make_instance(n=3, m=1, beta=0.5, seed=711)
-        acc = inst.tasks[0].accuracy
-        assert residual_accuracy(acc, acc.f_max) is None
-
-    def test_shifted_curve_values_match(self):
-        inst = make_instance(n=3, m=1, beta=0.5, seed=712)
-        acc = inst.tasks[0].accuracy
-        f_done = 0.4 * acc.f_max
-        res = residual_accuracy(acc, f_done)
-        assert res.value(0.0) == pytest.approx(acc.value(f_done))
-        g = 0.3 * (acc.f_max - f_done)
-        assert res.value(g) == pytest.approx(acc.value(f_done + g), rel=1e-9)
-        assert res.f_max == pytest.approx(acc.f_max - f_done, rel=1e-9)
-
-    def test_sliver_below_breakpoint_stays_concave(self):
-        # f_done a few µFLOP below a breakpoint leaves a leading piece whose
-        # accuracy rise is a few ulps, so its slope is quantised; unmerged,
-        # some of these widths read as a convex kink and raised.
-        acc = make_instance(n=3, m=1, beta=0.5, seed=712).tasks[0].accuracy
-        for k in range(1, acc.breakpoints.size - 1):
-            for sliver in np.geomspace(2e-6, 1e-2, 60):
-                f_done = float(acc.breakpoints[k] - sliver)
-                res = residual_accuracy(acc, f_done)
-                assert np.all(np.diff(res.slopes) <= 1e-9 * res.slopes.max())
-                assert res.value(0.0) == acc.value(f_done)
-                assert res.f_max == acc.f_max - f_done
-                assert res.value(res.f_max) == acc.a_max
-
-
-class TestReplanning:
-    @pytest.fixture(scope="class")
-    def scenario(self):
-        inst = make_instance(n=30, m=3, beta=0.6, seed=720)
-        scheduler = ApproxScheduler()
-        schedule = scheduler.solve(inst)
-        r = int(np.argmax(schedule.machine_loads))
-        at = 0.5 * float(schedule.machine_loads[r])
-        failures = FailureModel(outages=(Outage(r, at),))
-        return inst, scheduler, schedule, failures
-
-    def test_no_failures_matches_nominal(self, scenario):
-        inst, scheduler, schedule, _ = scenario
-        report = replay_with_replanning(inst, scheduler, FailureModel(), schedule=schedule)
-        assert report.total_accuracy == pytest.approx(schedule.total_accuracy, rel=1e-9)
-        assert report.n_replans == 0
-
-    def test_stale_mode_matches_replay_with_failures(self, scenario):
-        inst, scheduler, schedule, failures = scenario
-        mine = replay_with_replanning(inst, scheduler, failures, replan=False, schedule=schedule)
-        ref = replay_with_failures(inst, schedule, failures)
-        assert mine.total_accuracy == pytest.approx(ref.total_accuracy, rel=1e-9)
-        assert mine.energy == pytest.approx(ref.energy, rel=1e-9)
-        np.testing.assert_allclose(mine.task_flops, ref.task_flops, rtol=1e-9)
-
-    def test_stale_mode_matches_under_combined_failures(self, scenario):
-        inst, scheduler, schedule, _ = scenario
-        fm = FailureModel(
-            outages=(Outage(0, 0.4),), slowdowns=(Slowdown(1, 0.2, 0.5),)
-        )
-        mine = replay_with_replanning(inst, scheduler, fm, replan=False, schedule=schedule)
-        ref = replay_with_failures(inst, schedule, fm)
-        assert mine.total_accuracy == pytest.approx(ref.total_accuracy, rel=1e-9)
-        assert mine.energy == pytest.approx(ref.energy, rel=1e-9)
-
-    def test_replanning_strictly_beats_stale_plan(self, scenario):
-        """The headline claim: replanning recovers accuracy an outage destroys."""
-        inst, scheduler, schedule, failures = scenario
-        comparison = compare_replanning(inst, scheduler, failures, schedule=schedule)
-        assert comparison.replanned.n_replans >= 1
-        assert comparison.accuracy_recovered > 0.0
-        assert comparison.replanned.total_accuracy > comparison.stale.total_accuracy
-        assert comparison.replanned_retention > comparison.stale_retention
-        # (no upper bound against the nominal plan: APPROX is suboptimal, so a
-        # residual re-solve may legitimately recover more than the first plan
-        # by spending budget the initial heuristic left on the table)
-
-    def test_replanned_energy_within_budget(self, scenario):
-        inst, scheduler, schedule, failures = scenario
-        report = replay_with_replanning(inst, scheduler, failures, schedule=schedule)
-        assert report.energy <= inst.budget * (1 + 1e-6)
-
-    def test_dead_machine_does_no_further_work(self, scenario):
-        inst, scheduler, schedule, failures = scenario
-        report = replay_with_replanning(inst, scheduler, failures, schedule=schedule)
-        r = failures.outages[0].machine
-        assert report.dead_machines == (r,)
-        assert report.machine_busy[r] <= failures.outages[0].at + 1e-9
-
-    def test_replan_failure_keeps_stale_queues(self, scenario):
-        inst, _, schedule, failures = scenario
-        report = replay_with_replanning(
-            inst, FailingScheduler(), failures, schedule=schedule
-        )
-        ref = replay_with_failures(inst, schedule, failures)
-        assert report.n_replans == 0
-        assert report.total_accuracy == pytest.approx(ref.total_accuracy, rel=1e-9)
-
-    def test_machine_out_of_range_rejected(self, scenario):
-        inst, scheduler, _, _ = scenario
-        with pytest.raises(ValidationError):
-            replay_with_replanning(inst, scheduler, FailureModel(outages=(Outage(99, 1.0),)))
 
 
 # -- graceful degradation ------------------------------------------------------
@@ -747,39 +631,6 @@ class TestOnlineSimFailures:
         assert slowed.slo_attainment <= healthy.slo_attainment + 1e-9
         assert slowed.machine_busy.sum() > healthy.machine_busy.sum()
 
-    def test_energy_budget_is_respected(self, stream):
-        cluster, requests, _ = stream
-        budget = 2000.0
-        report = OnlineSimulation(
-            cluster, ApproxScheduler(), window_seconds=2.0, energy_budget=budget
-        ).run(requests)
-        assert report.energy <= budget * (1 + 1e-6)
-
-    def test_degradation_requires_budget(self, stream):
-        cluster, _, _ = stream
-        from repro.utils.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            OnlineSimulation(
-                cluster, ApproxScheduler(), degradation=DegradationPolicy.default()
-            )
-
-    def test_degradation_under_pressure_serves_more_cheaply(self, stream):
-        cluster, requests, _ = stream
-        budget = 2500.0
-        plain = OnlineSimulation(
-            cluster, ApproxScheduler(), window_seconds=2.0, energy_budget=budget
-        ).run(requests)
-        degraded = OnlineSimulation(
-            cluster,
-            ApproxScheduler(),
-            window_seconds=2.0,
-            energy_budget=budget,
-            degradation=DegradationPolicy.default(),
-        ).run(requests)
-        assert degraded.energy <= budget * (1 + 1e-6)
-        assert degraded.served_fraction > 0
-
     def test_failure_on_unknown_machine_rejected(self, stream):
         cluster, _, _ = stream
         with pytest.raises(ValidationError):
@@ -788,25 +639,6 @@ class TestOnlineSimFailures:
                 ApproxScheduler(),
                 failures=FailureModel(outages=(Outage(99, 1.0),)),
             )
-
-
-# -- the rolling-horizon planner under failures --------------------------------
-
-
-class TestPlannerWithFailures:
-    def test_replanning_never_worse_and_realised_bounded(self):
-        from repro.online.planner import RollingHorizonPlanner
-
-        cluster = sample_uniform_cluster(3, seed=11)
-        requests = PoissonArrivals(6.0, seed=12).generate(10.0)
-        planner = RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=2.0)
-        failures = FailureModel(outages=(Outage(machine=0, at=3.0),))
-        nominal = planner.run(requests)
-        stale = planner.run_with_failures(requests, failures, replan=False)
-        aware = planner.run_with_failures(requests, failures, replan=True)
-        assert stale.n_requests == aware.n_requests == nominal.n_requests
-        assert aware.mean_accuracy >= stale.mean_accuracy
-        assert aware.mean_accuracy <= nominal.mean_accuracy * (1 + 1e-9)
 
 
 # -- CLI ------------------------------------------------------------------------

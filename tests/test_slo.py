@@ -4,19 +4,16 @@ import math
 
 import pytest
 
-from repro.algorithms.registry import make_scheduler
+from repro.cli import main
+from repro.durability import read_events
 from repro.observe import (
     BurnRateMonitor,
     SLOSpec,
     evaluate,
     histogram_quantile,
 )
-from repro.simulator.online_sim import OnlineSimulation
-from repro.telemetry import MetricsRegistry, collector
+from repro.telemetry import MetricsRegistry
 from repro.utils.errors import ValidationError
-from repro.workloads.arrivals import PoissonArrivals
-
-from conftest import make_cluster
 
 
 class TestHistogramQuantile:
@@ -217,34 +214,34 @@ class TestBurnRateMonitor:
             BurnRateMonitor(budget=10.0, horizon=-1.0)
 
 
-class TestOnlineSimIntegration:
-    def simulate(self, budget_fraction):
-        cluster = make_cluster(m=3)
-        requests = PoissonArrivals(6.0, seed=11).generate(8.0)
-        horizon = 8.0
-        budget = budget_fraction * horizon * cluster.total_power
-        monitor = BurnRateMonitor(budget=budget, horizon=horizon)
-        reg = MetricsRegistry()
-        sim = OnlineSimulation(
-            cluster, make_scheduler("approx"), window_seconds=2.0, slo=monitor
-        )
-        with collector(reg):
-            sim.run(requests)
-        return monitor, reg
+class TestJournalBurnReplay:
+    """``repro slo --journal-dir`` replays a durable run's energy ledger."""
 
-    def test_starved_budget_fires_fast_burn(self):
-        monitor, reg = self.simulate(budget_fraction=0.02)
-        assert any(a.severity == "fast" for a in monitor.alerts)
-        snap = reg.snapshot()
-        fired = {
-            m["labels"]["severity"]: m["value"]
-            for m in snap["metrics"]
-            if m["name"] == "slo_alerts_total"
-        }
-        assert fired.get("fast") == 1.0
+    @pytest.fixture(scope="class")
+    def journal(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("journal")
+        args = ["online", "--horizon", "12", "--rate", "6", "--journal-dir", str(directory), "--degrade"]
+        assert main(args) == 0
+        budget = read_events(directory)[0]["meta"]["energy_budget"]
+        return directory, budget
 
-    def test_ample_budget_stays_silent(self):
-        monitor, reg = self.simulate(budget_fraction=10.0)
-        assert monitor.alerts == []
-        snap = reg.snapshot()
-        assert all(m["name"] != "slo_alerts_total" for m in snap["metrics"])
+    def slo(self, directory, budget):
+        return main(["slo", "--journal-dir", str(directory), "--budget", repr(budget), "--horizon", "12"])
+
+    def test_run_that_spends_its_budget_fires_fast_burn(self, journal, capsys):
+        directory, budget = journal
+        capsys.readouterr()
+        assert self.slo(directory, budget) == 1
+        out = capsys.readouterr().out
+        assert "ALERT fast-burn" in out
+        assert "replay over 6 ledger sample(s)" in out
+
+    def test_ample_budget_stays_silent(self, journal, capsys):
+        directory, _ = journal
+        capsys.readouterr()
+        assert self.slo(directory, 1e6) == 0
+        assert "ALERT" not in capsys.readouterr().out
+
+    def test_missing_journal_is_an_error(self, tmp_path, capsys):
+        assert self.slo(tmp_path / "no-such-dir", 100.0) == 2
+        assert "no journal records" in capsys.readouterr().err
