@@ -74,6 +74,13 @@ _KIND_TABLE: Dict[str, Tuple[str, bool]] = {
 
 FAULT_KINDS: Tuple[str, ...] = tuple(_KIND_TABLE)
 
+#: Magnitude ranges drawn per kind: stall and release-delay seconds,
+#: signed rebalance skew seconds, and synthetic burst request counts.
+STALL_SECONDS: Tuple[float, float] = (0.05, 0.4)
+DELAY_SECONDS: Tuple[float, float] = (0.02, 0.2)
+SKEW_SECONDS: Tuple[float, float] = (-0.5, 0.5)
+BURST_REQUESTS: Tuple[int, int] = (3, 12)
+
 
 def site_of(kind: str) -> str:
     """The injection site a fault kind fires at."""
@@ -123,7 +130,7 @@ class ChaosEvent:
 class ChaosSchedule:
     """A seeded, reproducible fault timeline over a shard topology.
 
-    The same ``(seed, shards, kinds, n_events, max_op, ...)`` always
+    The same ``(seed, shards, kinds, n_events, max_op)`` always
     yields the identical event tuple — asserted by the test suite and
     relied on by ``repro chaos soak``'s replayable campaigns.  At most
     one *fatal* fault is planned per shard (a dead worker fires nothing
@@ -138,10 +145,6 @@ class ChaosSchedule:
         kinds: Sequence[str] = FAULT_KINDS,
         n_events: int = 8,
         max_op: int = 20,
-        stall_seconds: Tuple[float, float] = (0.05, 0.4),
-        delay_seconds: Tuple[float, float] = (0.02, 0.2),
-        skew_seconds: Tuple[float, float] = (-0.5, 0.5),
-        burst_requests: Tuple[int, int] = (3, 12),
     ):
         require(len(shards) >= 1, "a chaos schedule needs at least one shard")
         require(n_events >= 0, f"n_events must be >= 0, got {n_events}")
@@ -167,13 +170,13 @@ class ChaosSchedule:
                     doomed.add(shard)
             at_op = rng.randint(1, int(max_op))
             if kind in ("worker_stall",):
-                magnitude = rng.uniform(*stall_seconds)
+                magnitude = rng.uniform(*STALL_SECONDS)
             elif kind == "lease_release_delay":
-                magnitude = rng.uniform(*delay_seconds)
+                magnitude = rng.uniform(*DELAY_SECONDS)
             elif kind == "clock_skew":
-                magnitude = rng.uniform(*skew_seconds)
+                magnitude = rng.uniform(*SKEW_SECONDS)
             elif kind == "arrival_burst":
-                magnitude = float(rng.randint(*burst_requests))
+                magnitude = float(rng.randint(*BURST_REQUESTS))
             else:
                 magnitude = 0.0
             events.append(

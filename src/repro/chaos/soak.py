@@ -39,7 +39,7 @@ __all__ = ["CampaignReport", "SoakReport", "run_campaign", "run_soak"]
 
 #: Statuses that count as "resolved": the client got an answer — a solve
 #: result or an explicit, retryable shed — rather than a silent timeout.
-_RESOLVED_STATUSES = frozenset({200, 400, 499, 503})
+_RESOLVED_STATUSES = frozenset({200, 400, 503})
 
 
 def _counter_total(snapshot: Dict[str, Any], name: str) -> float:
@@ -192,7 +192,6 @@ def run_campaign(
     concurrency: int = 4,
     request_timeout_seconds: float = 10.0,
     min_resolve_rate: float = 0.99,
-    hedge_after_seconds: Optional[float] = None,
 ) -> CampaignReport:
     """Run one seeded chaos campaign and certify its invariants.
 
@@ -222,7 +221,6 @@ def run_campaign(
         heartbeat_seconds=0.1,
         max_restarts=3,
         retry_backoff_seconds=0.02,
-        hedge_after_seconds=hedge_after_seconds,
     )
     schedule = ChaosSchedule(seed, config.shard_ids(), n_events=n_events, max_op=max_op)
     injector = FaultInjector(schedule, journal_dir=root / "chaos-journal")

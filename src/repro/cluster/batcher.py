@@ -18,7 +18,7 @@ the dispatch path resolves from the worker's reply (or fails, e.g. when
 the worker dies mid-window).  "In flight" is the number of unsettled
 pendings in windows this batcher dispatched: a done-callback on each
 pending decrements it, so every settle path (reply, shard death, stale
-sweep, shed, failed send, hedge won elsewhere) frees the gate without
+sweep, shed, failed send, retry settled elsewhere) frees the gate without
 the dispatch path having to report back.  The batcher owns one daemon
 thread; the dispatch callback runs on it, so callbacks must hand heavy
 work onwards rather than solving inline.
@@ -28,16 +28,17 @@ Overload behaviour
 
 Requests carry a **priority class** (interactive / standard /
 best-effort).  Window formation is a weighted dequeue — each pass takes
-up to ``priority_weights[rank]`` items from each class in rank order —
-so interactive traffic keeps moving under load without starving the
-others outright.  The queue is **bounded** (``max_queue``; submission
-past the bound raises :class:`QueueFullError` and the front-end turns
-that into a 503) and, when depth crosses ``lifo_threshold``, dequeue
-flips to **adaptive LIFO** within each class: the newest arrivals are
-served first, because under sustained overload the oldest queued
-requests are the ones whose deadlines are already gone — FIFO would
-spend the whole recovery serving requests nobody is still waiting for
-(the classic metastable-queue failure).
+up to 4 interactive, 2 standard and 1 best-effort item
+(:data:`DEFAULT_PRIORITY_WEIGHTS`) — so interactive traffic keeps
+moving under load without starving the others outright.  The queue is
+**bounded** (``max_queue``; submission past the bound raises
+:class:`QueueFullError` and the front-end turns that into a 503) and,
+when depth crosses ``lifo_threshold``, dequeue flips to **adaptive
+LIFO** within each class: the newest arrivals are served first, because
+under sustained overload the oldest queued requests are the ones whose
+deadlines are already gone — FIFO would spend the whole recovery
+serving requests nobody is still waiting for (the classic
+metastable-queue failure).
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class PendingResult:
 
     Settlement is first-wins: the first :meth:`resolve` or :meth:`fail`
     sticks and every later attempt is ignored (returning ``False``).
-    That property is what makes hedged dispatch safe — two shards may
-    race to settle the same pending, but the caller observes exactly
-    one result and the loser's settle is detectable for cleanup.
+    A stale-window sweep and a late worker reply, or a retry and the
+    settle of the window it left, may race on one pending; the caller
+    observes exactly one result and the late settle is detectable.
     """
 
     __slots__ = ("_lock", "_event", "_value", "_error", "_callbacks")
@@ -149,23 +150,16 @@ class WindowBatcher:
         max_wait_seconds: float = 0.01,
         name: str = "batcher",
         max_queue: int = 4096,
-        priority_weights: Tuple[int, ...] = DEFAULT_PRIORITY_WEIGHTS,
         lifo_threshold: Optional[int] = None,
     ):
         require(max_batch >= 1, f"max_batch must be >= 1, got {max_batch}")
         check_positive(max_wait_seconds, "max_wait_seconds")
         require(max_queue >= 1, f"max_queue must be >= 1, got {max_queue}")
-        require(
-            len(priority_weights) == len(PRIORITY_CLASSES)
-            and all(int(w) >= 1 for w in priority_weights),
-            f"priority_weights must be {len(PRIORITY_CLASSES)} ints >= 1, got {priority_weights}",
-        )
         self.dispatch = dispatch
         self.max_batch = int(max_batch)
         self.max_wait_seconds = float(max_wait_seconds)
         self.name = name
         self.max_queue = int(max_queue)
-        self.priority_weights = tuple(int(w) for w in priority_weights)
         #: Queue depth beyond which dequeue flips to newest-first within
         #: each class.  ``None`` disables adaptive LIFO (pure FIFO).
         self.lifo_threshold = None if lifo_threshold is None else int(lifo_threshold)
@@ -203,7 +197,7 @@ class WindowBatcher:
     ) -> PendingResult:
         """Queue ``item`` for the next window; returns its pending result.
 
-        Retries and hedges pass their original ``pending`` so the caller
+        Retries pass their original ``pending`` so the caller
         keeps waiting on one future across re-dispatches; by default a
         fresh one is created.  ``priority`` names the request's class
         (default ``standard``); :class:`QueueFullError` is raised when
@@ -245,7 +239,7 @@ class WindowBatcher:
     def _take_window_locked(self) -> List[Tuple[Any, PendingResult]]:
         """Form one window: weighted dequeue across classes, LIFO under load.
 
-        Each pass takes up to ``priority_weights[rank]`` items from each
+        Each pass takes up to ``DEFAULT_PRIORITY_WEIGHTS[rank]`` items from each
         class in rank order, repeating until the window is full or the
         queues are dry — interactive dominates but never starves the
         rest.  When total depth exceeds ``lifo_threshold`` items are
@@ -255,7 +249,7 @@ class WindowBatcher:
         window: List[Tuple[Any, PendingResult]] = []
         while len(window) < self.max_batch and any(self._queues):
             for rank, queue in enumerate(self._queues):
-                take = min(self.priority_weights[rank], self.max_batch - len(window), len(queue))
+                take = min(DEFAULT_PRIORITY_WEIGHTS[rank], self.max_batch - len(window), len(queue))
                 for _ in range(take):
                     window.append(queue.pop() if lifo else queue.pop(0))
                 if len(window) >= self.max_batch:

@@ -46,7 +46,6 @@ from ..observe.tracing import to_trace_events, trace_spans
 from ..overload.brownout import BrownoutController
 from ..overload.controller import AdmitRateController, normalize_priority
 from ..overload.signals import QueueDelaySignal
-from ..profile.exports import merge_profiles
 from ..profile.phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
 from ..telemetry import MetricsRegistry, collector, new_trace_id, prometheus_text, trace_scope
 from ..utils.errors import ValidationError
@@ -95,13 +94,11 @@ class ClusterConfig:
         heartbeat_seconds: float = 0.25,
         max_restarts: int = 3,
         retry_backoff_seconds: float = 0.05,
-        hedge_after_seconds: Optional[float] = None,
         queue_target_seconds: Optional[float] = None,
         brownout_target_p99_seconds: Optional[float] = None,
         brownout_dwell_seconds: float = 1.0,
         max_queue_per_shard: int = 1024,
         adaptive_lifo: bool = False,
-        profile_hz: float = 19.0,
     ):
         require(shards >= 1, f"cluster needs at least one shard, got {shards}")
         check_positive(request_timeout_seconds, "request_timeout_seconds")
@@ -109,8 +106,6 @@ class ClusterConfig:
         check_positive(heartbeat_seconds, "heartbeat_seconds")
         require(max_restarts >= 0, f"max_restarts must be >= 0, got {max_restarts}")
         check_positive(retry_backoff_seconds, "retry_backoff_seconds")
-        if hedge_after_seconds is not None:
-            check_positive(hedge_after_seconds, "hedge_after_seconds")
         if queue_target_seconds is not None:
             check_positive(queue_target_seconds, "queue_target_seconds")
         if brownout_target_p99_seconds is not None:
@@ -132,7 +127,6 @@ class ClusterConfig:
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.max_restarts = int(max_restarts)
         self.retry_backoff_seconds = float(retry_backoff_seconds)
-        self.hedge_after_seconds = hedge_after_seconds
         #: adaptive-admission target queue delay; ``None`` disables AIMD
         self.queue_target_seconds = queue_target_seconds
         #: brownout-ladder p99 target; ``None`` disables the brownout controller
@@ -140,9 +134,6 @@ class ClusterConfig:
         self.brownout_dwell_seconds = float(brownout_dwell_seconds)
         self.max_queue_per_shard = int(max_queue_per_shard)
         self.adaptive_lifo = bool(adaptive_lifo)
-        require(profile_hz >= 0.0, f"profile_hz must be >= 0, got {profile_hz}")
-        #: per-worker continuous-profiler rate; ``0`` turns profiling off
-        self.profile_hz = float(profile_hz)
 
     def shard_ids(self) -> List[str]:
         return [f"shard-{i:02d}" for i in range(self.shards)]
@@ -276,7 +267,6 @@ class ClusterManager:
             snapshot_every=self.config.snapshot_every,
             fsync=self.config.fsync,
             chaos_events=chaos_events,
-            profile_hz=self.config.profile_hz,
         )
         handle.requests = ctx.Queue()
         handle.replies = ctx.Queue()
@@ -464,7 +454,6 @@ class ClusterManager:
         }
         if deadline_seconds is not None:
             item["_deadline_at"] = now + float(deadline_seconds)
-        hedged: List[Tuple[_ShardHandle, Dict[str, Any]]] = [(handle, item)]
         deadline = now + (timeout or self.config.request_timeout_seconds)
         with self.telemetry.span("frontend.request", shard=shard, scheduler=scheduler):
             try:
@@ -475,27 +464,14 @@ class ClusterManager:
             except ValidationError:
                 return error_doc(503, f"shard {shard} is shutting down", tid, 5.0)
             try:
-                hedge_after = self.config.hedge_after_seconds
-                if hedge_after is not None and hedge_after < deadline - time.monotonic():
-                    try:
-                        result = pending.wait(hedge_after)
-                    except TimeoutError:
-                        loser = self._launch_hedge(tid, item, shard, pending)
-                        if loser is not None:
-                            hedged.append(loser)
-                        result = pending.wait(max(deadline - time.monotonic(), 0.001))
-                else:
-                    result = pending.wait(max(deadline - time.monotonic(), 0.001))
+                return pending.wait(max(deadline - time.monotonic(), 0.001))
             except TimeoutError:
-                self._abandon(hedged, tid)
+                self._abandon(handle, item)
                 self.telemetry.counter("frontend_rejected_total", reason="timeout").inc()
                 return error_doc(504, "request timed out in the cluster", tid)
             except Exception as exc:  # noqa: BLE001 — dispatch failure surfaces as 500
                 self.telemetry.counter("frontend_rejected_total", reason="dispatch_error").inc()
                 return error_doc(500, f"dispatch failed: {exc}", tid)
-        if len(hedged) > 1:
-            self._cancel_losers(hedged, result, tid)
-        return result
 
     def _inject_burst(
         self, handle: _ShardHandle, count: int, scheduler: str, instance_doc: Dict[str, Any]
@@ -529,73 +505,10 @@ class ClusterManager:
                 "chaos_burst_requests_total", shard=handle.shard
             ).add(submitted)
 
-    def _launch_hedge(
-        self,
-        tid: str,
-        item: Dict[str, Any],
-        primary: str,
-        pending: PendingResult,
-    ) -> Optional[Tuple[_ShardHandle, Dict[str, Any]]]:
-        """Dispatch a hedge copy to the clockwise-next healthy shard.
-
-        Both dispatches share one :class:`PendingResult`; first response
-        wins (settlement is one-shot) and the loser is cancelled by
-        :meth:`_cancel_losers` once a winner lands.
-        """
-        healthy = self.healthy_shards() - {primary}
-        if not healthy:
-            return None
-        try:
-            failover = self.router.route(tid, healthy=healthy)
-        except KeyError:  # pragma: no cover — healthy is non-empty
-            return None
-        failover_handle = self._handles[failover]
-        hedge_item = dict(item)
-        hedge_item["_hedge"] = True
-        try:
-            assert failover_handle.batcher is not None
-            failover_handle.batcher.submit(
-                hedge_item, pending=pending, priority=hedge_item.get("priority")
-            )
-        except (ValidationError, AssertionError):
-            return None
-        self.telemetry.counter("frontend_hedges_total", shard=failover).inc()
-        return (failover_handle, hedge_item)
-
-    def _cancel_losers(
-        self,
-        hedged: List[Tuple[_ShardHandle, Dict[str, Any]]],
-        result: Dict[str, Any],
-        tid: str,
-    ) -> None:
-        """Withdraw every hedge copy the winner made redundant.
-
-        A copy still queued is evicted before it ever reserves lease; a
-        copy already inside a window is cancelled on the worker (it
-        answers 499 with zero energy, so the window commit returns the
-        loser's entire grant share to the lease).
-        """
-        winner = result.get("shard") if isinstance(result, dict) else None
-        for loser_handle, loser_item in hedged:
-            if winner is not None and loser_handle.shard == winner:
-                continue
-            if loser_handle.batcher is not None and loser_handle.batcher.evict(loser_item):
-                mode = "evicted"
-            else:
-                mode = "cancelled"
-                try:
-                    loser_handle.requests.put({"op": "cancel", "trace_ids": [tid]})
-                except (OSError, ValueError, AttributeError):  # pragma: no cover — shard torn down
-                    continue
-            self.telemetry.counter(
-                "frontend_hedge_cancels_total", shard=loser_handle.shard, mode=mode
-            ).inc()
-
-    def _abandon(self, hedged: List[Tuple[_ShardHandle, Dict[str, Any]]], tid: str) -> None:
-        """A caller gave up: evict its copies so the pending map cannot leak."""
-        for loser_handle, loser_item in hedged:
-            if loser_handle.batcher is not None and loser_handle.batcher.evict(loser_item):
-                self.telemetry.counter("frontend_abandoned_total", shard=loser_handle.shard).inc()
+    def _abandon(self, handle: _ShardHandle, item: Dict[str, Any]) -> None:
+        """A caller gave up: evict its queued item so the pending map cannot leak."""
+        if handle.batcher is not None and handle.batcher.evict(item):
+            self.telemetry.counter("frontend_abandoned_total", shard=handle.shard).inc()
 
     def _reserve_for(self, shard: str, batch: List[Tuple[Dict[str, Any], PendingResult]]) -> float:
         """How much lease to reserve for a window: the sum of the requests'
@@ -664,7 +577,7 @@ class ClusterManager:
                 "op": "window",
                 "batch_id": batch_id,
                 "epoch": handle.epoch,
-                # Underscore keys are front-end bookkeeping (_attempts, _hedge);
+                # Underscore keys are front-end bookkeeping (_attempts, _enqueued);
                 # the worker never sees them.
                 "requests": [
                     {k: v for k, v in item.items() if not k.startswith("_")} for item, _ in batch
@@ -708,8 +621,9 @@ class ClusterManager:
             if index < len(results):
                 delivered = pending.resolve(results[index])
                 if not delivered and results[index].get("status") == 200:
-                    # A hedge loser finished anyway: the solve is wasted
-                    # energy but the client saw exactly one result.
+                    # A double-delivery detector: a 200 for a request that
+                    # was already settled.  The solve is wasted energy but
+                    # the client saw exactly one result.
                     self.telemetry.counter(
                         "frontend_duplicate_results_total", shard=handle.shard
                     ).inc()
@@ -1008,29 +922,26 @@ class ClusterManager:
         return prometheus_text({"metrics": metrics, "spans": []})
 
     def profile_document(self, *, timeout: float = 5.0) -> Dict[str, Any]:
-        """Cluster-wide continuous profile: per-shard and merged.
+        """Cluster-wide per-phase span attribution: per shard and merged.
 
-        Each live shard answers a ``profile`` probe with its sampler's
-        aggregated stacks plus its exact per-phase span splits; the
-        front-end contributes its own phase splits (it runs no sampler —
-        a sampler thread in the parent would be fork-hostile) and merges
-        everything into one document for ``/debug/profile`` and
+        Each live shard's phases are the exact span self-times of the
+        telemetry in its ``stats`` reply; the front-end adds its own and
+        merges everything into one document for ``/debug/profile`` and
         ``repro top``.
         """
-        shard_docs: Dict[str, Optional[Dict[str, Any]]] = {
-            s: self._ask_shard(h, "profile", timeout) for s, h in self._handles.items()
+        shard_phases: Dict[str, Optional[Dict[str, Dict[str, float]]]] = {
+            shard: None if stats is None else phase_breakdown(stats.get("telemetry", {}))
+            for shard, stats in self.shard_stats(timeout=timeout).items()
         }
-        profiles = [d.get("profile") for d in shard_docs.values() if d is not None]
-        breakdowns = [d.get("phases", {}) for d in shard_docs.values() if d is not None]
+        breakdowns = [phases for phases in shard_phases.values() if phases is not None]
         breakdowns.append(phase_breakdown(self.telemetry.snapshot()))
         merged_phases = merge_phase_breakdowns(breakdowns)
         return {
             "shards": {
-                shard: (None if doc is None else {"profile": doc.get("profile"), "phases": doc.get("phases", {})})
-                for shard, doc in shard_docs.items()
+                shard: None if phases is None else {"phases": phases}
+                for shard, phases in shard_phases.items()
             },
             "merged": {
-                "profile": merge_profiles(profiles),
                 "phases": merged_phases,
                 "hottest": [
                     {"phase": name, **entry} for name, entry in hottest_phases(merged_phases)

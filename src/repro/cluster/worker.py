@@ -1,13 +1,15 @@
 """The shard worker: a solver process with its own durable ledger.
 
 Each shard of the cluster is one OS process running
-:func:`worker_main`: a loop over a request queue whose envelopes carry
-solve windows, stats probes, and shutdown.  Per shard — *not* shared
-with any other process — the worker owns:
+:func:`worker_main`: a loop over a request queue answering three ops —
+``window`` (solve a window of requests), ``stats`` (a probe) and
+``shutdown``.  Anything else gets an ``error`` reply.  Per shard — *not*
+shared with any other process — the worker owns:
 
 * a :class:`~repro.telemetry.MetricsRegistry` collecting its counters
   and solve spans (fetched by the front-end's ``stats`` probe for the
-  cluster-level ``/metrics`` aggregation);
+  cluster-level ``/metrics``, ``/trace/<id>`` and ``/debug/profile``
+  aggregation);
 * an :class:`~repro.resilience.admission.AdmissionController` whose
   circuit breaker trips on repeated solver failures, shedding load at
   the shard before it melts;
@@ -17,8 +19,8 @@ with any other process — the worker owns:
 
 Each window item runs the solve step the single-process server runs
 (:class:`~repro.cluster.solve_service.SolveStep`); the worker adds only
-its lease and cancellation checks and the budget clip plus brownout it
-applies to the parsed instance.
+its lease check and the budget clip plus brownout it applies to the
+parsed instance.
 
 Trace identity crosses the process boundary in data, not context: every
 request in a window envelope carries its ``trace_id``, the worker
@@ -42,16 +44,13 @@ import os
 import queue
 import signal
 import time
-from collections import deque
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..chaos import ChaosEvent, FaultInjector, WORKER_SITE
 from ..core.instance import ProblemInstance
 from ..core.task import Task
 from ..durability.solve_journal import SolveJournal
 from ..overload.brownout import BROWNOUT_LADDER, BrownoutLevel
-from ..profile.phases import phase_breakdown
-from ..profile.sampler import StackSampler
 from ..resilience.admission import AdmissionController
 from ..resilience.degrade import cap_work
 from ..telemetry import MetricsRegistry, collector, trace_scope
@@ -73,7 +72,6 @@ class WorkerConfig:
         snapshot_every: int = 25,
         fsync: str = "always",
         chaos_events: Optional[Sequence[ChaosEvent]] = None,
-        profile_hz: float = 19.0,
     ):
         self.shard = str(shard)
         self.journal_dir = journal_dir
@@ -81,8 +79,6 @@ class WorkerConfig:
         self.fallback = bool(fallback)
         self.snapshot_every = int(snapshot_every)
         self.fsync = fsync
-        #: continuous-profiler sampling rate; ``0`` disables the sampler
-        self.profile_hz = float(profile_hz)
         #: planned worker-site chaos faults (frozen dataclasses pickle across fork)
         self.chaos_events = tuple(chaos_events) if chaos_events else ()
 
@@ -116,17 +112,10 @@ class _ShardState:
             labels={"shard": config.shard},
         )
         self.solves_total = 0
-        self.cancelled: set = set()  # trace ids the front-end withdrew (hedge losers)
         self.brownout_level = 0  # cluster-wide level stamped into window envelopes
         self.injector: Optional[FaultInjector] = None
         if config.chaos_events:
             self.injector = FaultInjector(config.chaos_events, telemetry=self.telemetry)
-        # The always-on continuous profiler.  Started *here*, inside the
-        # child process — a sampler thread must never be running in the
-        # parent when a worker forks (its lock could be held mid-fork).
-        self.sampler: Optional[StackSampler] = None
-        if config.profile_hz > 0.0:
-            self.sampler = StackSampler(self.telemetry, hz=config.profile_hz).start()
 
     @property
     def energy_spent(self) -> float:
@@ -163,9 +152,9 @@ def _rung_cap(rung: BrownoutLevel, task: Task) -> float:
 def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float, enforce: bool):
     """One request of a window; returns ``(result_doc, energy_spent)``.
 
-    The shard's own checks come first (lease left, cancellation); the
-    parsed instance gets its budget clipped to the remaining grant and
-    the cluster's brownout level before the shared solve step runs.
+    The shard's own lease check comes first; the parsed instance gets
+    its budget clipped to the remaining grant and the cluster's brownout
+    level before the shared solve step runs.
     """
     tele = state.telemetry
     shard = state.config.shard
@@ -173,11 +162,6 @@ def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float,
     if enforce and remaining_grant <= 0.0:
         tele.counter("worker_shed_total", shard=shard, reason="lease_exhausted").inc()
         return error_doc(503, "lease_exhausted", trace_id, retry_after=1.0), 0.0
-
-    if trace_id is not None and trace_id in state.cancelled:
-        state.cancelled.discard(trace_id)
-        tele.counter("worker_cancelled_total", shard=shard).inc()
-        return error_doc(499, "cancelled by front-end", trace_id), 0.0
 
     def prepare(instance: ProblemInstance) -> ProblemInstance:
         if enforce and instance.budget > remaining_grant:
@@ -233,11 +217,7 @@ def _apply_worker_fault(state: _ShardState, event: ChaosEvent) -> bool:
     return False
 
 
-def _handle_window(
-    state: _ShardState,
-    envelope: Dict[str, Any],
-    drain: Optional[Callable[[], None]] = None,
-) -> Optional[Dict[str, Any]]:
+def _handle_window(state: _ShardState, envelope: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     grant = envelope.get("grant")
     enforce = grant is not None
     remaining = float(grant) if enforce else float("inf")
@@ -261,8 +241,6 @@ def _handle_window(
     elapsed = []
     with state.telemetry.span("worker.window", shard=state.config.shard):
         for item in envelope.get("requests", []):
-            if drain is not None:
-                drain()  # pick up cancellations racing this window
             began = time.monotonic()
             doc, energy = _solve_one(state, item, remaining, enforce)
             elapsed.append(time.monotonic() - began)
@@ -297,17 +275,6 @@ def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any
     }
 
 
-def _handle_profile(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """The shard's continuous profile plus exact per-phase span splits."""
-    return {
-        "op": "profile",
-        "batch_id": envelope["batch_id"],
-        "shard": state.config.shard,
-        "profile": state.sampler.profile() if state.sampler is not None else None,
-        "phases": phase_breakdown(state.telemetry.snapshot()),
-    }
-
-
 def worker_main(config: WorkerConfig, requests: Any, replies: Any) -> None:
     """Entry point of a shard worker process (also runnable in-process).
 
@@ -315,51 +282,23 @@ def worker_main(config: WorkerConfig, requests: Any, replies: Any) -> None:
     loop exits on a ``shutdown`` envelope, closing the journal cleanly.
     A fork-started child inherits the parent's context, so the worker
     activates its own registry for everything it runs.
-
-    ``cancel`` envelopes are *control* traffic: they jump the line.  The
-    loop drains the queue between window items so a hedge winner's
-    cancellation reaches the loser before it burns energy on a solve
-    whose result nobody will accept.
     """
     state = _ShardState(config)
-    # Bounded: a front-end gone haywire cannot balloon the worker's memory.
-    # Overflow drops the *oldest* queued envelope — its window is swept and
-    # answered 503 by the front-end's stale-window sweeper.
-    backlog: deque = deque(maxlen=4096)
-
-    def _drain_control() -> None:
-        while True:
-            try:
-                pulled = requests.get_nowait()
-            except queue.Empty:
-                return
-            if isinstance(pulled, dict) and pulled.get("op") == "cancel":
-                state.cancelled.update(pulled.get("trace_ids", []))
-            else:
-                backlog.append(pulled)
-
     with collector(state.telemetry):
         while True:
-            if backlog:
-                envelope = backlog.popleft()
-            else:
-                try:
-                    envelope = requests.get(timeout=1.0)
-                except queue.Empty:
-                    continue
+            try:
+                envelope = requests.get(timeout=1.0)
+            except queue.Empty:
+                continue
             op = envelope.get("op") if isinstance(envelope, dict) else "shutdown"
             if op == "shutdown":
                 state.journal.close()
                 replies.put({"op": "shutdown_ack", "shard": config.shard, "batch_id": envelope.get("batch_id")})
                 return
-            if op == "cancel":
-                state.cancelled.update(envelope.get("trace_ids", []))
-            elif op == "stats":
+            if op == "stats":
                 replies.put(_handle_stats(state, envelope))
-            elif op == "profile":
-                replies.put(_handle_profile(state, envelope))
             elif op == "window":
-                reply = _handle_window(state, envelope, _drain_control)
+                reply = _handle_window(state, envelope)
                 if reply is not None:
                     replies.put(reply)
             else:

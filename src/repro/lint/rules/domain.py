@@ -245,10 +245,6 @@ def _combine(a: Dim, b: Dim, sign: int) -> Dim:
     return tuple(x + sign * y for x, y in zip(a, b))  # type: ignore[return-value]
 
 
-def _invert(d: Dim) -> Dim:
-    return tuple(-x for x in d)  # type: ignore[return-value]
-
-
 def build_env(scope: ast.AST) -> Env:
     """Name → dimension for one scope (module body or function body).
 

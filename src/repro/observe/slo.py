@@ -390,11 +390,15 @@ class BurnRateMonitor:
         return fired
 
     def _cum_at(self, t: float) -> float:
-        """Cumulative spend at ``t`` under step interpolation."""
+        """Cumulative spend at ``t``, linear between samples (spend accrues
+        across the interval a sample closes, not at its instant)."""
         if t <= self._times[0]:
             return self._cums[0]
         k = bisect_right(self._times, t) - 1
-        return self._cums[k]
+        if k + 1 >= len(self._times):
+            return self._cums[k]
+        t0, t1 = self._times[k], self._times[k + 1]
+        return self._cums[k] + (self._cums[k + 1] - self._cums[k]) * (t - t0) / (t1 - t0)
 
     def burn_rate(self, window: float, *, at: Optional[float] = None) -> float:
         """Spend rate over the trailing ``window``, in sustainable-rate units.

@@ -38,9 +38,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import get_collector
-from ..utils.validation import check_positive, require
+from ..utils.validation import check_positive
 
 __all__ = ["BrownoutLevel", "BROWNOUT_LADDER", "BrownoutController"]
+
+#: PID gains on the normalized error, and the bound on the integral term.
+KP = 0.8
+KI = 0.3
+KD = 0.2
+INTEGRAL_CLAMP = 3.0
 
 
 @dataclass(frozen=True)
@@ -87,23 +93,13 @@ class BrownoutController:
         self,
         *,
         target_p99_seconds: float = 1.0,
-        kp: float = 0.8,
-        ki: float = 0.3,
-        kd: float = 0.2,
-        integral_clamp: float = 3.0,
         min_dwell_seconds: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Optional[Callable[[int, int, float], None]] = None,
     ):
         check_positive(target_p99_seconds, "target_p99_seconds")
         check_positive(min_dwell_seconds, "min_dwell_seconds")
-        require(kp >= 0.0 and ki >= 0.0 and kd >= 0.0, "PID gains must be >= 0")
-        check_positive(integral_clamp, "integral_clamp")
         self.target_p99_seconds = float(target_p99_seconds)
-        self.kp = float(kp)
-        self.ki = float(ki)
-        self.kd = float(kd)
-        self.integral_clamp = float(integral_clamp)
         self.min_dwell_seconds = float(min_dwell_seconds)
         self._clock = clock
         self._on_transition = on_transition
@@ -162,12 +158,12 @@ class BrownoutController:
             dt = (now - self._last_update) if self._last_update is not None else 0.0
             self._last_update = now
             self._integral += error * dt
-            self._integral = max(min(self._integral, self.integral_clamp), -self.integral_clamp)
+            self._integral = max(min(self._integral, INTEGRAL_CLAMP), -INTEGRAL_CLAMP)
             derivative = 0.0
             if self._last_error is not None and dt > 0.0:
                 derivative = (error - self._last_error) / dt
             self._last_error = error
-            pressure = self.kp * error + self.ki * self._integral + self.kd * derivative
+            pressure = KP * error + KI * self._integral + KD * derivative
 
             dwelled = now - self._last_transition >= self.min_dwell_seconds
             new_level = self._level

@@ -1,44 +1,25 @@
-"""Continuous profiling and performance attribution.
+"""Performance attribution from telemetry spans.
 
 The observability stack built by the rest of :mod:`repro` answers *what
 happened* (metrics) and *what belonged together* (traces); this package
-answers *where the time went*:
+answers *where the time went*, from the same closed spans:
 
-* :class:`~repro.profile.sampler.StackSampler` — a thread-based
-  sampling wall-clock profiler (``sys._current_frames()`` at a
-  configurable rate) that attributes every sample to the active
-  telemetry phase span and trace id via the registry's per-thread span
-  map, at <2% overhead;
-* :mod:`~repro.profile.exports` — collapsed-stack text, speedscope
-  JSON, Perfetto/Chrome trace JSON and a dependency-free flamegraph
-  HTML, all from the same plain-data profile document, plus cross-shard
-  profile merging;
 * :mod:`~repro.profile.phases` — exact per-phase wall-time splits
-  (total / self / count) computed from closed telemetry spans, the
+  (total / self / count) computed from closed telemetry spans, merged
+  across shards for the cluster's ``/debug/profile``, and the
   attribution that ``repro bench profile`` turns into per-phase CI
   budgets;
 * :mod:`~repro.profile.bench` — the seeded profiling benchmark behind
   ``repro bench profile`` and ``benchmarks/BENCH_profile.json``;
 * :mod:`~repro.profile.top` — the ``repro top`` live cluster dashboard.
+
+Function-level detail that spans do not name is one
+``python -m cProfile`` away; no profiler runs in production.
 """
 
-from .exports import (
-    collapsed_stacks,
-    flamegraph_html,
-    merge_profiles,
-    perfetto_profile,
-    speedscope_document,
-)
 from .phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
-from .sampler import StackSampler
 
 __all__ = [
-    "StackSampler",
-    "collapsed_stacks",
-    "speedscope_document",
-    "perfetto_profile",
-    "flamegraph_html",
-    "merge_profiles",
     "phase_breakdown",
     "merge_phase_breakdowns",
     "hottest_phases",

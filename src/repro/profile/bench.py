@@ -13,13 +13,7 @@ under a telemetry registry, and reports:
 * **span coverage** — root-span seconds over measured wall seconds per
   path, and aggregated over the fractional/LP/rounding solve paths
   (the acceptance bar is ≥90%: the phase attribution must account for
-  where the solve wall time actually went);
-* **sampler overhead** — median wall time of the solve workload with a
-  running :class:`~repro.profile.sampler.StackSampler` against the
-  unprofiled median, over passes of at least a second each (<5% is the
-  budget; <2% typical at the default Hz);
-* **artifacts** — an attributed sampled profile exported as flamegraph
-  HTML, speedscope JSON and collapsed text when paths are given.
+  where the solve wall time actually went).
 
 The output document is committed as ``benchmarks/BENCH_profile.json``
 (the per-phase budget baseline ROADMAP item 2's vectorization PRs will
@@ -29,10 +23,8 @@ be measured against).
 from __future__ import annotations
 
 import json
-import math
-import statistics
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..algorithms import ApproxScheduler, round_fractional, solve_fractional
 from ..exact import solve_lp_relaxation
@@ -41,9 +33,7 @@ from ..telemetry import MetricsRegistry, collector
 from ..utils.fileio import atomic_write
 from ..workloads import runtime_instance
 from ..workloads.arrivals import PoissonArrivals
-from .exports import collapsed_stacks, flamegraph_html, speedscope_document
 from .phases import phase_breakdown
-from .sampler import DEFAULT_HZ, StackSampler
 
 __all__ = ["run_profile_bench", "SOLVE_PATHS", "WORKLOAD_CASES"]
 
@@ -53,9 +43,6 @@ WORKLOAD_CASES: Tuple[Tuple[int, int, int], ...] = ((100, 5, 7), (60, 3, 11))
 
 #: The solve paths whose spans must cover >=90% of the measured wall time.
 SOLVE_PATHS = ("fractional", "lp", "rounding")
-
-#: Shortest measured pass of the sampler-overhead check, in seconds.
-_MIN_PASS_SECONDS = 1.0
 
 
 def _instances():
@@ -121,86 +108,13 @@ def _profile_path(runner: Callable[[], None], repeats: int) -> Dict[str, Any]:
     }
 
 
-def _measure_overhead(
-    runners: Dict[str, Callable[[], None]], hz: float, repeats: int
-) -> Dict[str, Any]:
-    """Median solve wall time with and without a running sampler.
-
-    One pass over the solve paths takes about a tenth of a second, where
-    scheduler noise on a shared machine exceeds the 5% bar.  So one pass
-    is timed once and turned into an iteration count that makes each
-    measured pass last at least :data:`_MIN_PASS_SECONDS`.  Base and
-    sampled passes run the same count and alternate which goes first, so
-    drift in machine load falls on both sides alike.
-    """
-
-    def one_pass(iterations: int) -> float:
-        began = time.perf_counter()
-        for _ in range(iterations):
-            for path in SOLVE_PATHS:
-                runners[path]()
-        return time.perf_counter() - began
-
-    iterations = max(1, math.ceil(_MIN_PASS_SECONDS / max(one_pass(1), 1e-6)))
-    registry = MetricsRegistry()
-
-    def sampled_pass() -> float:
-        with collector(registry), StackSampler(registry, hz=hz):
-            seconds = one_pass(iterations)
-        return seconds
-
-    base: List[float] = []
-    sampled: List[float] = []
-    for index in range(max(repeats, 1)):
-        if index % 2:
-            sampled.append(sampled_pass())
-            base.append(one_pass(iterations))
-        else:
-            base.append(one_pass(iterations))
-            sampled.append(sampled_pass())
-    base_median = statistics.median(base)
-    sampled_median = statistics.median(sampled)
-    raw = (sampled_median / base_median - 1.0) if base_median else 0.0
-    return {
-        "hz": hz,
-        "repeats": len(base),
-        "iterations": iterations,
-        "base_seconds": base_median,
-        "sampled_seconds": sampled_median,
-        "raw_overhead_fraction": raw,
-        "overhead_fraction": max(raw, 0.0),
-    }
-
-
-def _capture_profile(runners: Dict[str, Callable[[], None]], hz: float) -> Dict[str, Any]:
-    """One attributed sampled profile of the full workload (artifacts).
-
-    The workload is fast (fractions of a second), so it loops until the
-    sampler has seen at least ~2 seconds of it — enough ticks for a
-    readable flamegraph — capped at 50 iterations.
-    """
-    registry = MetricsRegistry()
-    with collector(registry), StackSampler(registry, hz=max(hz, 47.0)) as sampler:
-        began = time.perf_counter()
-        for _ in range(50):
-            for runner in runners.values():
-                runner()
-            if time.perf_counter() - began >= 2.0:
-                break
-        return sampler.profile()
-
-
 def run_profile_bench(
     *,
     out: Optional[str] = None,
-    flame: Optional[str] = None,
-    speedscope: Optional[str] = None,
-    collapsed: Optional[str] = None,
     repeats: int = 3,
-    hz: float = DEFAULT_HZ,
     stream: Any = None,
 ) -> Dict[str, Any]:
-    """Run the profiling benchmark; write the report and any artifacts."""
+    """Run the profiling benchmark; write the report to ``out`` if given."""
     say = stream.write if stream is not None else (lambda _t: None)
     runners = _path_runners()
     paths: Dict[str, Any] = {}
@@ -214,11 +128,6 @@ def run_profile_bench(
         )
     solve_wall = sum(paths[p]["wall_seconds"] for p in SOLVE_PATHS)
     solve_span = sum(paths[p]["span_seconds"] for p in SOLVE_PATHS)
-    overhead = _measure_overhead(runners, hz, repeats)
-    say(
-        f"sampler overhead at {hz:g} Hz: {overhead['overhead_fraction']:.2%} "
-        f"({overhead['sampled_seconds']:.4f}s vs {overhead['base_seconds']:.4f}s)\n"
-    )
     budgets = {
         f"{path}/{phase}": entry["share"]
         for path, doc in paths.items()
@@ -228,7 +137,6 @@ def run_profile_bench(
         "meta": {
             "workload": [list(case) for case in WORKLOAD_CASES],
             "repeats": repeats,
-            "hz": hz,
             "note": "shares are self_seconds / path root-span seconds; "
             "check_regression.py --profile gates on share regressions",
         },
@@ -239,22 +147,9 @@ def run_profile_bench(
             "span_seconds": solve_span,
             "coverage": (solve_span / solve_wall) if solve_wall else 0.0,
         },
-        "sampler_overhead": overhead,
         "budgets": budgets,
     }
-    profile = None
-    if flame or speedscope or collapsed:
-        profile = _capture_profile(runners, hz)
     if out:
         atomic_write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         say(f"report -> {out}\n")
-    if flame and profile is not None:
-        atomic_write(flame, flamegraph_html(profile, title="repro bench profile"))
-        say(f"flamegraph -> {flame}\n")
-    if speedscope and profile is not None:
-        atomic_write(speedscope, json.dumps(speedscope_document(profile)) + "\n")
-        say(f"speedscope -> {speedscope}\n")
-    if collapsed and profile is not None:
-        atomic_write(collapsed, collapsed_stacks(profile))
-        say(f"collapsed stacks -> {collapsed}\n")
     return report

@@ -1,7 +1,7 @@
 """Exact per-phase wall-time attribution from telemetry spans.
 
-The sampler estimates; spans *measure*.  :func:`phase_breakdown` folds a
-registry snapshot's closed spans into per-phase totals:
+:func:`phase_breakdown` folds a registry snapshot's closed spans into
+per-phase totals:
 
 * ``total_seconds`` — summed durations of every span with that name
   (a parent's total includes its children);

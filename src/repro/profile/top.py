@@ -8,8 +8,8 @@ questions without leaving the terminal:
   delay p99, admit rate, and energy-lease utilization;
 * **budget line** — global budget, total spend, rebalance count;
 * **overload line** — the cluster-wide brownout rung by name;
-* **hottest phases** — the top-5 phases by self time from the merged
-  continuous profile (``/debug/profile``).
+* **hottest phases** — the top-5 phases by span self time, merged
+  across the front-end and every shard (``/debug/profile``).
 
 Everything renders from three HTTP endpoints the front-end already
 serves (``/health``, ``/metrics``, ``/debug/profile``) — the dashboard
@@ -148,11 +148,10 @@ class ClusterTop:
                 f"  {row['phase']:<28}{row.get('self_seconds', 0.0):>10.3f}s"
                 f"  ({int(row.get('count', 0))} span(s))\n"
             )
-        merged_profile = state["profile"].get("merged", {}).get("profile", {})
+        phases = state["profile"].get("merged", {}).get("phases", {})
         out.write(
-            f"\nprofiler: {merged_profile.get('total_samples', 0)} samples at "
-            f"{merged_profile.get('hz', 0):g} Hz across "
-            f"{len(state['profile'].get('shards', {}))} shard(s)\n"
+            f"\nspans: {sum(int(e.get('count', 0)) for e in phases.values())} closed across "
+            f"{len(state['profile'].get('shards', {}))} shard(s) and the front-end\n"
         )
         return out.getvalue()
 

@@ -19,10 +19,11 @@ series — restricted to what an offline scheduling library needs:
   :data:`MAX_SPANS` spans.
 
 The registry is thread-safe: scalar updates take a lock, and the span
-stack lives in a :class:`~contextvars.ContextVar` so concurrent server
-requests trace independently *and* parent links survive context-aware
-thread hops (``contextvars.copy_context().run`` in the resilience
-layer's deadline workers).
+stack lives only in a :class:`~contextvars.ContextVar` so concurrent
+server requests trace independently *and* parent links survive
+context-aware thread hops (``contextvars.copy_context().run`` in the
+resilience layer's deadline workers).  Where the time went is read
+back from the closed spans (:func:`repro.profile.phase_breakdown`).
 
 Tracing (see :mod:`repro.observe.tracing` for the high-level API) hangs
 off the same spans: a *trace id* set with :func:`trace_scope` is stamped
@@ -331,12 +332,6 @@ class MetricsRegistry:
         self._stack: ContextVar[Tuple[SpanRecord, ...]] = ContextVar(
             "repro_span_stack", default=()
         )
-        # Per-OS-thread open-span stacks, for *cross-thread* attribution:
-        # a sampling profiler reading ``sys._current_frames()`` cannot see
-        # another thread's ContextVars, so the registry mirrors span
-        # open/close events into this map (span churn is rare next to
-        # sample rate, so the extra lock work is off the sampling path).
-        self._thread_spans: Dict[int, List[SpanRecord]] = {}
         self._next_span_id = 0
         self._epoch = time.perf_counter()
 
@@ -429,7 +424,6 @@ class MetricsRegistry:
             )
             evicting = len(self.spans) == self.spans.maxlen
             self.spans.append(record)
-            self._thread_spans.setdefault(threading.get_ident(), []).append(record)
         if evicting:
             self.counter(DROPPED_SPANS_METRIC).inc()
         self._stack.set(stack + (record,))
@@ -442,28 +436,7 @@ class MetricsRegistry:
         # out-of-order exits from generator-based context managers.
         if record in stack:
             self._stack.set(tuple(s for s in stack if s is not record))
-        ident = threading.get_ident()
-        with self._lock:
-            open_spans = self._thread_spans.get(ident)
-            if open_spans is not None and record in open_spans:
-                open_spans.remove(record)
-                if not open_spans:
-                    del self._thread_spans[ident]
-            else:
-                # Context-aware thread hops can close a span on a different
-                # thread than the one that opened it.
-                for key, other in list(self._thread_spans.items()):
-                    if record in other:
-                        other.remove(record)
-                        if not other:
-                            del self._thread_spans[key]
-                        break
         self.histogram("span_duration_seconds", span=record.name).observe(elapsed)
-
-    def active_spans_by_thread(self) -> Dict[int, SpanRecord]:
-        """Innermost open span per OS thread (profiler attribution)."""
-        with self._lock:
-            return {ident: spans[-1] for ident, spans in self._thread_spans.items() if spans}
 
     def timer(self, name: str, *, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels) -> "_TimerContext":
         """Context manager observing its elapsed seconds into histogram ``name``."""

@@ -244,52 +244,6 @@ def test_supervisor_restarts_sigkilled_worker(tmp_path):
     assert audit.certified, audit.violations
 
 
-# -- hedging: first response wins, the loser's grant is withdrawn ----------------
-
-
-def test_hedged_dispatch_cancels_loser_grant():
-    doc = instance_to_dict(make_instance(n=6, m=2, seed=5))
-    config = ClusterConfig(
-        shards=2,
-        budget=50_000.0,
-        max_batch=2,
-        max_wait_seconds=0.002,
-        hedge_after_seconds=0.01,
-        supervise=True,
-        heartbeat_seconds=0.1,
-    )
-    # Each shard's first window stalls far past hedge_after_seconds, so the
-    # first request's primary is slow however fast the solve itself is: a
-    # hedge fires, and whichever copy loses is cancelled.
-    stalls = [
-        ChaosEvent(seq=i, kind="worker_stall", site=WORKER_SITE, shard=shard, at_op=1, magnitude=0.25)
-        for i, shard in enumerate(config.shard_ids())
-    ]
-    injector = FaultInjector(ChaosSchedule.from_events(stalls))
-    manager = ClusterManager(config, injector=injector).start()
-    try:
-        results = [
-            manager.submit("approx", doc, trace_id=f"{i:04x}beef{i:08x}") for i in range(6)
-        ]
-        assert all(r["status"] in (200, 503) for r in results), results
-        assert any(r["status"] == 200 for r in results)
-        assert counter_total(manager.telemetry, "frontend_hedges_total") >= 1.0
-        assert counter_total(manager.telemetry, "frontend_hedge_cancels_total") >= 1.0
-
-        def reserved_total():
-            shards = manager.ledger.to_dict()["shards"]
-            return sum(row["reserved"] for row in shards.values())
-
-        # The losers' grants drain back into the leases — nothing leaks.
-        deadline = time.monotonic() + 5.0
-        while reserved_total() > 1e-6 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert reserved_total() == pytest.approx(0.0, abs=1e-6)
-        assert manager.ledger.audit() == []
-    finally:
-        manager.stop()
-
-
 # -- the soak harness -------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from repro.cluster import (
     solve_payload,
 )
 from repro.cluster.bench import LoadStats, run_load, usable_cpu_count
+from repro.cluster.worker import WorkerConfig, worker_main
 from repro.core.serialization import instance_to_dict
 from repro.durability import read_events
 from repro.observe.tracing import trace_spans
@@ -370,13 +371,13 @@ def test_batcher_gate_frees_when_dispatch_sheds_the_whole_window():
         batcher.close(drain=False)
 
 
-def test_batcher_gate_frees_when_a_hedge_settles_the_pending_elsewhere():
+def test_batcher_gate_frees_when_the_pending_settles_elsewhere():
     batcher, windows = _recording_batcher()
     try:
         shared = batcher.submit("primary")
         windows.get(timeout=5.0)
         _wait_until_parked(batcher)
-        shared.resolve("winner from the other shard")
+        shared.resolve("settled outside the window, as a sweep or shed does")
         batcher.submit("next")
         assert [item for item, _ in windows.get(timeout=5.0)] == ["next"]
     finally:
@@ -432,6 +433,22 @@ def test_solve_service_matches_direct_solve():
 def test_solve_service_fallback_builds_chain():
     service = SolveService(SolveServiceConfig(fallback=True, solver_timeout=5.0))
     assert isinstance(service.build_scheduler("approx"), FallbackChain)
+
+
+def test_worker_answers_window_stats_and_shutdown_and_errors_anything_else():
+    requests, replies = queue.Queue(), queue.Queue()
+    for batch_id, op in enumerate(("profile", "cancel", "stats"), start=1):
+        requests.put({"op": op, "batch_id": batch_id})
+    requests.put({"op": "shutdown", "batch_id": 4})
+    worker_main(WorkerConfig("shard-00"), requests, replies)
+    answers = [replies.get(timeout=5.0) for _ in range(4)]
+    assert [(a["op"], a["batch_id"]) for a in answers] == [
+        ("error", 1),
+        ("error", 2),
+        ("stats", 3),
+        ("shutdown_ack", 4),
+    ]
+    assert answers[0]["error"] == "unknown op 'profile'"
 
 
 # -- the cluster end to end -----------------------------------------------------
@@ -617,22 +634,18 @@ def test_queue_delay_exemplar_links_to_trace(cluster_env):
 
 
 def test_debug_profile_merges_worker_profiles(cluster_env):
-    """Tentpole: ``/debug/profile`` serves per-shard and merged profiles."""
+    """``/debug/profile`` serves per-shard and merged phase breakdowns."""
     _, base, doc, _ = cluster_env
     for _ in range(2):
         _post_solve(base, doc)
-    time.sleep(0.3)  # a few sampler ticks at the default 19 Hz
     status, body = _get(base, "/debug/profile")
     assert status == 200
     document = json.loads(body)
     assert set(document["shards"]) == {"shard-00", "shard-01"}
     for shard_doc in document["shards"].values():
         assert shard_doc is not None
-        assert shard_doc["profile"] is not None  # the sampler is on by default
-        assert shard_doc["profile"]["hz"] == pytest.approx(19.0)
         assert "phases" in shard_doc
     merged = document["merged"]
-    assert merged["profile"]["total_samples"] >= 1
     assert merged["hottest"], "no phases in the hottest-phase ranking"
     # Worker solve spans and the front-end's own spans both fold into
     # the merged phase breakdown.
@@ -682,7 +695,7 @@ def test_client_errors_do_not_trip_the_shard_breaker():
     # scheduler) answers 400 before admission, so a run of them must not
     # open the circuit breaker that guards the solver.
     doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
-    with ClusterManager(ClusterConfig(shards=1, profile_hz=0.0)) as manager:
+    with ClusterManager(ClusterConfig(shards=1)) as manager:
         for _ in range(5):
             assert manager.submit("no-such-method", doc)["status"] == 400
         result = manager.submit("approx", doc)
@@ -696,7 +709,7 @@ def test_malformed_instance_documents_do_not_kill_the_shard():
     doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
     missing = {"format": "repro.instance", "version": 1}
     mistyped = {**doc, "budget": "x"}
-    with ClusterManager(ClusterConfig(shards=1, profile_hz=0.0, supervise=False)) as manager:
+    with ClusterManager(ClusterConfig(shards=1, supervise=False)) as manager:
         for bad in (missing, mistyped):
             result = manager.submit("approx", bad)
             assert result["status"] == 400, result
@@ -734,7 +747,7 @@ def test_unreadable_budget_fails_only_its_own_request_in_a_budgeted_window():
     doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
     window = [doc, {**doc, "budget": "x"}, {**doc, "budget": float("nan")}, [doc], doc]
     config = ClusterConfig(
-        shards=1, budget=1e12, max_batch=8, max_wait_seconds=30.0, profile_hz=0.0, supervise=False
+        shards=1, budget=1e12, max_batch=8, max_wait_seconds=30.0, supervise=False
     )
     with ClusterManager(config) as manager, ThreadPoolExecutor(max_workers=6) as pool:
         handle = manager._handles["shard-00"]
@@ -752,7 +765,7 @@ def test_cluster_queue_bound_answers_queue_full():
     # The shard's batcher bounds its queue: with one request in flight and
     # one queued, the next is refused 503 queue_full with a Retry-After.
     doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
-    config = ClusterConfig(shards=1, max_queue_per_shard=1, max_wait_seconds=30.0, profile_hz=0.0, supervise=False)
+    config = ClusterConfig(shards=1, max_queue_per_shard=1, max_wait_seconds=30.0, supervise=False)
     with ClusterManager(config) as manager, ThreadPoolExecutor(max_workers=2) as pool:
         server = make_cluster_server(manager)
         threading.Thread(target=server.serve_forever, daemon=True).start()

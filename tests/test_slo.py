@@ -228,13 +228,23 @@ class TestJournalBurnReplay:
     def slo(self, directory, budget):
         return main(["slo", "--journal-dir", str(directory), "--budget", repr(budget), "--horizon", "12"])
 
-    def test_run_that_spends_its_budget_fires_fast_burn(self, journal, capsys):
+    def test_run_that_spends_its_budget_fires_slow_burn(self, journal, capsys):
+        # Each window's spend is stamped at its close and accrues linearly
+        # across it, so spending B over the run reads as a slow burn
+        # (about 1.4x), not a fast one.
         directory, budget = journal
         capsys.readouterr()
         assert self.slo(directory, budget) == 1
         out = capsys.readouterr().out
-        assert "ALERT fast-burn" in out
+        assert "ALERT slow-burn" in out
+        assert "ALERT fast-burn" not in out
         assert "replay over 6 ledger sample(s)" in out
+
+    def test_run_that_spends_half_its_budget_stays_silent(self, journal, capsys):
+        directory, budget = journal
+        capsys.readouterr()
+        assert self.slo(directory, 2.0 * budget) == 0
+        assert "ALERT" not in capsys.readouterr().out
 
     def test_ample_budget_stays_silent(self, journal, capsys):
         directory, _ = journal
