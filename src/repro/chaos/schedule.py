@@ -32,8 +32,8 @@ kind                   site                    effect
 path; ``clock_skew`` counts rebalancer cycles (shard-less: the ledger is
 global); ``frontend.submit`` counts client submissions routed to the
 shard, and an ``arrival_burst`` magnitude is the number of synthetic
-best-effort requests injected — exercising the overload controller
-(admission AIMD, brownout) under a reproducible load spike.
+best-effort requests injected — exercising AIMD admission and the
+deadline check under a reproducible load spike.
 """
 
 from __future__ import annotations

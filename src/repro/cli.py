@@ -46,9 +46,9 @@ Commands
     recorded per-phase budgets).
 ``top``
     Live terminal dashboard for a running cluster: per-shard qps, queue
-    delay p99, admit rate, energy-lease utilization, the brownout rung,
-    and the top-5 hottest phases by span self time —
-    refreshed in place (``q`` quits; ``--once`` prints a single frame).
+    delay p99, admit rate, energy-lease utilization, and the top-5
+    hottest phases by span self time — refreshed in place (``q`` quits;
+    ``--once`` prints a single frame).
 ``online``
     Rolling-horizon serving of a Poisson stream; with ``--journal-dir``
     the run is durable (write-ahead journal + snapshots) and *resumes*
@@ -370,7 +370,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         fallback=args.fallback,
         rebalance_seconds=args.rebalance_seconds,
         queue_target_seconds=args.queue_target,
-        brownout_target_p99_seconds=args.brownout_target,
         max_queue_per_shard=args.max_queue,
         adaptive_lifo=args.adaptive_lifo,
     )
@@ -396,7 +395,6 @@ def _cmd_bench_overload(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         deadline_seconds=args.deadline,
         queue_target_seconds=args.queue_target,
-        brownout_target_p99_seconds=args.brownout_target,
         recovery_settle_seconds=args.settle,
         min_recovery=args.min_recovery,
     )
@@ -1119,13 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive admission: AIMD the admit rate when queue delay exceeds this",
     )
     p_clu.add_argument(
-        "--brownout-target",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="compression brownout: ladder target for p99 queue delay",
-    )
-    p_clu.add_argument(
         "--max-queue", type=int, default=1024, help="bounded per-shard request queue"
     )
     p_clu.add_argument(
@@ -1199,9 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bov.add_argument("--deadline", type=float, default=2.0, metavar="SECONDS", help="per-request deadline")
     p_bov.add_argument(
         "--queue-target", type=float, default=0.25, metavar="SECONDS", help="AIMD queue-delay target"
-    )
-    p_bov.add_argument(
-        "--brownout-target", type=float, default=0.5, metavar="SECONDS", help="brownout p99 target"
     )
     p_bov.add_argument(
         "--settle",

@@ -41,9 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .. import __version__ as _pkg_version
 from ..chaos import REBALANCE_SITE, RELEASE_SITE, SUBMIT_SITE, FaultInjector
-from ..durability import JournalWriter
 from ..observe.tracing import to_trace_events, trace_spans
-from ..overload.brownout import BrownoutController
 from ..overload.controller import AdmitRateController, normalize_priority
 from ..overload.signals import QueueDelaySignal
 from ..profile.phases import hottest_phases, merge_phase_breakdowns, phase_breakdown
@@ -95,8 +93,6 @@ class ClusterConfig:
         max_restarts: int = 3,
         retry_backoff_seconds: float = 0.05,
         queue_target_seconds: Optional[float] = None,
-        brownout_target_p99_seconds: Optional[float] = None,
-        brownout_dwell_seconds: float = 1.0,
         max_queue_per_shard: int = 1024,
         adaptive_lifo: bool = False,
     ):
@@ -108,9 +104,6 @@ class ClusterConfig:
         check_positive(retry_backoff_seconds, "retry_backoff_seconds")
         if queue_target_seconds is not None:
             check_positive(queue_target_seconds, "queue_target_seconds")
-        if brownout_target_p99_seconds is not None:
-            check_positive(brownout_target_p99_seconds, "brownout_target_p99_seconds")
-        check_positive(brownout_dwell_seconds, "brownout_dwell_seconds")
         require(max_queue_per_shard >= 1, f"max_queue_per_shard must be >= 1, got {max_queue_per_shard}")
         self.shards = int(shards)
         self.budget = budget
@@ -129,9 +122,6 @@ class ClusterConfig:
         self.retry_backoff_seconds = float(retry_backoff_seconds)
         #: adaptive-admission target queue delay; ``None`` disables AIMD
         self.queue_target_seconds = queue_target_seconds
-        #: brownout-ladder p99 target; ``None`` disables the brownout controller
-        self.brownout_target_p99_seconds = brownout_target_p99_seconds
-        self.brownout_dwell_seconds = float(brownout_dwell_seconds)
         self.max_queue_per_shard = int(max_queue_per_shard)
         self.adaptive_lifo = bool(adaptive_lifo)
 
@@ -161,19 +151,17 @@ class _ShardHandle:
 class _ShardOverload:
     """One shard's closed-loop admission state at the front-end.
 
-    The measured queue-delay signal feeds three consumers: the AIMD
+    The measured queue-delay signal feeds two consumers: the AIMD
     admit-rate controller (created only when the cluster has a
-    ``queue_target_seconds``), the deadline check
-    (:meth:`QueueDelaySignal.doomed`), and — aggregated across shards —
-    the cluster-wide brownout controller.
+    ``queue_target_seconds``) and the deadline check
+    (:meth:`QueueDelaySignal.doomed`).
     """
 
     def __init__(self, config: ClusterConfig):
         # The signal's recency horizon tracks the control cadence: a few
-        # rebalance ticks of history is enough for a stable p99, and the
-        # signal then decays as fast as the controllers can react — a
-        # storm's sojourns must not dominate the statistics (and pin the
-        # brownout ladder high) long after the queue has drained.
+        # rebalance ticks of history, so the signal decays as fast as the
+        # controllers can react — a storm's service times must not hold
+        # the deadline check's floor long after the queue has drained.
         self.signal = QueueDelaySignal(
             max_age_seconds=max(4.0 * config.rebalance_seconds, 1.0)
         )
@@ -222,29 +210,9 @@ class ClusterManager:
         self._rebalancer: Optional[threading.Thread] = None
         self._supervisor: Optional[ShardSupervisor] = None
         self._retry_rng = random.Random()  # jitter only; never part of chaos determinism
-        self._overload_journal: Optional[JournalWriter] = None
-        self.brownout: Optional[BrownoutController] = None
-        if config.brownout_target_p99_seconds is not None:
-            if config.journal_root is not None:
-                self._overload_journal = JournalWriter(
-                    f"{config.journal_root}/overload-journal", fsync="rotate"
-                )
-            with collector(self.telemetry):
-                self.brownout = BrownoutController(
-                    target_p99_seconds=config.brownout_target_p99_seconds,
-                    min_dwell_seconds=config.brownout_dwell_seconds,
-                    on_transition=self._journal_brownout,
-                )
         self._overload: Dict[str, _ShardOverload] = {
             s: _ShardOverload(config) for s in ids
         }
-
-    def _journal_brownout(self, old: int, new: int, p99: float) -> None:
-        """Durably record a brownout transition (rebalancer thread only)."""
-        if self._overload_journal is not None:
-            self._overload_journal.append(
-                {"type": "brownout_transition", "from": old, "to": new, "p99": p99}
-            )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -361,8 +329,6 @@ class ClusterManager:
             # closed — the flaky-teardown source under pytest reruns.
             self._close_queue(handle.requests)
             self._close_queue(handle.replies)
-        if self._overload_journal is not None:
-            self._overload_journal.close()
 
     def __enter__(self) -> "ClusterManager":
         return self.start()
@@ -394,8 +360,7 @@ class ClusterManager:
 
         ``priority`` names the request's class (interactive / standard /
         best-effort; unknown values read as standard) — it weights the
-        batcher dequeue, orders who sheds first under overload, and at
-        brownout level 3 the best-effort class is rejected outright.
+        batcher dequeue and orders who sheds first under overload.
         ``deadline_seconds`` is the client's completion deadline from
         *now*: a request certain to miss it (measured against the
         shard's optimistic service floor) is shed 503 up front and again
@@ -420,8 +385,6 @@ class ClusterManager:
                     self._inject_burst(handle, int(event.magnitude), scheduler, instance_doc)
             if deadline_seconds is not None and state.signal.doomed(float(deadline_seconds)):
                 return self._shed("deadline_doomed", cls, tid, 1.0)
-            if cls == "best_effort" and self.brownout is not None and self.brownout.current.shed_best_effort:
-                return self._shed("brownout_shed", cls, tid, 2.0)
             if state.controller is not None and not state.controller.admit(cls):
                 return self._shed("overload", cls, tid, 1.0)
             return self._submit_admitted(
@@ -481,7 +444,7 @@ class ClusterManager:
         The burst is ``count`` best-effort copies of the arriving request
         with throwaway pending results — nobody waits on them, but they
         queue, solve, spend lease, and drive the measured queue delay up,
-        which is exactly what exercises the admission/brownout loop.
+        which is exactly what exercises the admission loop.
         """
         now = time.monotonic()
         submitted = 0
@@ -583,8 +546,6 @@ class ClusterManager:
                     {k: v for k, v in item.items() if not k.startswith("_")} for item, _ in batch
                 ],
             }
-            if self.brownout is not None:
-                envelope["brownout"] = self.brownout.level
             if grant is not None:
                 envelope["grant"] = grant
             with handle.lock:
@@ -630,9 +591,8 @@ class ClusterManager:
             else:  # pragma: no cover — a worker always answers the full window
                 pending.resolve(error_doc(503, "window truncated by worker", item.get("trace_id"), 2.0))
             # Feed the overload loop: the settled request's sojourn time
-            # (submit -> result) drives AIMD admission and (aggregated)
-            # the brownout controller; its solve time tightens the
-            # deadline shedder's optimistic service floor.
+            # (submit -> result) drives AIMD admission; its solve time
+            # tightens the deadline shedder's optimistic service floor.
             enqueued = item.get("_enqueued")
             if enqueued is not None:
                 sojourn = max(now - float(enqueued), 0.0)
@@ -844,16 +804,6 @@ class ClusterManager:
                         period = max(period + event.magnitude, 0.05)
                 if self.ledger.budget is not None:
                     self.ledger.rebalance()
-                # The rebalancer doubles as the brownout tick: one
-                # controller, one coordinated cluster-wide level — shards
-                # brown out together instead of oscillating separately.
-                if self.brownout is not None:
-                    p99s = [
-                        p
-                        for p in (s.signal.sojourn_p99() for s in self._overload.values())
-                        if p is not None
-                    ]
-                    self.brownout.update(max(p99s) if p99s else None)
                 for shard, state in self._overload.items():
                     if state.controller is not None:
                         self.telemetry.gauge("frontend_admit_rate", shard=shard).set(
@@ -895,7 +845,6 @@ class ClusterManager:
     def overload_snapshot(self) -> Dict[str, Any]:
         """The overload control plane's current state, for /health and tests."""
         return {
-            "brownout": None if self.brownout is None else self.brownout.snapshot(),
             "shards": {
                 shard: {
                     "admit_rate": (

@@ -146,10 +146,10 @@ class SolveStep:
 
         The document's ``status`` is the HTTP status; a 503 also carries
         ``retry_after``.  ``prepare`` rewrites the parsed instance before
-        the solve (a shard clips its budget to the window's grant and
-        applies the brownout level).  It never raises: a document the
-        parser rejects answers 400, any other exception 500 with a short
-        ``detail`` traceback, so no request can take down a shard worker.
+        the solve (a shard clips its budget to the window's grant).  It
+        never raises: a document the parser rejects answers 400, any other
+        exception 500 with a short ``detail`` traceback, so no request can
+        take down a shard worker.
         """
         tele = self.telemetry
         try:

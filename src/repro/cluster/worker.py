@@ -19,8 +19,7 @@ shared with any other process — the worker owns:
 
 Each window item runs the solve step the single-process server runs
 (:class:`~repro.cluster.solve_service.SolveStep`); the worker adds only
-its lease check and the budget clip plus brownout it applies to the
-parsed instance.
+its lease check and the budget clip it applies to the parsed instance.
 
 Trace identity crosses the process boundary in data, not context: every
 request in a window envelope carries its ``trace_id``, the worker
@@ -48,11 +47,8 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..chaos import ChaosEvent, FaultInjector, WORKER_SITE
 from ..core.instance import ProblemInstance
-from ..core.task import Task
 from ..durability.solve_journal import SolveJournal
-from ..overload.brownout import BROWNOUT_LADDER, BrownoutLevel
 from ..resilience.admission import AdmissionController
-from ..resilience.degrade import cap_work
 from ..telemetry import MetricsRegistry, collector, trace_scope
 from .solve_service import SolveService, SolveServiceConfig, SolveStep, error_doc
 
@@ -112,7 +108,6 @@ class _ShardState:
             labels={"shard": config.shard},
         )
         self.solves_total = 0
-        self.brownout_level = 0  # cluster-wide level stamped into window envelopes
         self.injector: Optional[FaultInjector] = None
         if config.chaos_events:
             self.injector = FaultInjector(config.chaos_events, telemetry=self.telemetry)
@@ -122,39 +117,12 @@ class _ShardState:
         return self.journal.energy_spent
 
 
-def _brownout_instance(instance: ProblemInstance, level: int) -> ProblemInstance:
-    """Apply the cluster-wide brownout level to one instance before solving.
-
-    Level 1 caps each task's work at the rung's fraction of its maximum;
-    levels 2+ force every task to its *lowest-θ variant* — the smallest
-    positive breakpoint of its accuracy curve, i.e. the cheapest
-    compression level the task ships with.  Tasks are never shed here
-    (the front-end sheds whole best-effort *requests* at level 3); a
-    browned-out window always answers every request, just less
-    accurately.
-    """
-    if level <= 0:
-        return instance
-    rung = BROWNOUT_LADDER[min(level, len(BROWNOUT_LADDER) - 1)]
-    return cap_work(instance, [_rung_cap(rung, task) for task in instance.tasks])
-
-
-def _rung_cap(rung: BrownoutLevel, task: Task) -> float:
-    """A task's work cap on one rung: its lowest positive breakpoint when
-    the rung forces the lowest θ, else the rung's share of ``f_max``."""
-    if rung.force_lowest:
-        positive = task.accuracy.breakpoints[task.accuracy.breakpoints > 0]
-        if len(positive):
-            return float(positive[0])
-    return rung.work_cap_scale * task.f_max
-
-
 def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float, enforce: bool):
     """One request of a window; returns ``(result_doc, energy_spent)``.
 
     The shard's own lease check comes first; the parsed instance gets
-    its budget clipped to the remaining grant and the cluster's brownout
-    level before the shared solve step runs.
+    its budget clipped to the remaining grant before the shared solve
+    step runs.
     """
     tele = state.telemetry
     shard = state.config.shard
@@ -165,8 +133,8 @@ def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float,
 
     def prepare(instance: ProblemInstance) -> ProblemInstance:
         if enforce and instance.budget > remaining_grant:
-            instance = dataclasses.replace(instance, budget=remaining_grant)
-        return _brownout_instance(instance, state.brownout_level)
+            return dataclasses.replace(instance, budget=remaining_grant)
+        return instance
 
     with trace_scope(trace_id) if trace_id else contextlib.nullcontext():
         doc = state.step.run(str(item.get("scheduler", "approx")), item["instance"], trace_id=trace_id, prepare=prepare)
@@ -174,8 +142,6 @@ def _solve_one(state: _ShardState, item: Dict[str, Any], remaining_grant: float,
         tele.counter("worker_errors_total", shard=shard, status=str(doc["status"])).inc()
         return doc, 0.0
     state.solves_total += 1
-    if state.brownout_level > 0:
-        tele.counter("worker_brownout_solves_total", shard=shard, level=str(state.brownout_level)).inc()
     doc["shard"] = shard
     return doc, float(doc["metrics"]["energy_joules"])
 
@@ -221,16 +187,6 @@ def _handle_window(state: _ShardState, envelope: Dict[str, Any]) -> Optional[Dic
     grant = envelope.get("grant")
     enforce = grant is not None
     remaining = float(grant) if enforce else float("inf")
-    level = int(envelope.get("brownout", 0))
-    if level != state.brownout_level:
-        # The front-end moved the cluster-wide brownout level; journal the
-        # transition into the shard WAL (recover tolerates foreign record
-        # types) so a post-mortem read shows *when* accuracy was degraded.
-        state.journal.append(
-            {"type": "brownout", "shard": state.config.shard, "from": state.brownout_level, "to": level}
-        )
-        state.brownout_level = level
-        state.telemetry.gauge("worker_brownout_level").set(level)
     drop_reply = False
     if state.injector is not None:
         event = state.injector.fire(WORKER_SITE, state.config.shard)
@@ -269,7 +225,6 @@ def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any
         "energy_spent": state.energy_spent,
         "solves_total": state.solves_total,
         "breaker_state": state.admission.breaker.state,
-        "brownout_level": state.brownout_level,
         "journal_records": state.journal.record_count,
         "telemetry": state.telemetry.snapshot(),
     }
@@ -290,7 +245,9 @@ def worker_main(config: WorkerConfig, requests: Any, replies: Any) -> None:
                 envelope = requests.get(timeout=1.0)
             except queue.Empty:
                 continue
-            op = envelope.get("op") if isinstance(envelope, dict) else "shutdown"
+            if not isinstance(envelope, dict):
+                envelope = {}  # answered below as an unknown op, batch_id None
+            op = envelope.get("op")
             if op == "shutdown":
                 state.journal.close()
                 replies.put({"op": "shutdown_ack", "shard": config.shard, "batch_id": envelope.get("batch_id")})

@@ -1,23 +1,19 @@
 """repro.overload — adaptive overload control for the cluster.
 
-Closed-loop overload management built from three cooperating pieces:
+Closed-loop overload management built from two cooperating pieces:
 
 * :mod:`repro.overload.signals` — per-shard queue-delay measurement
-  (sojourn EWMA, windowed p99, optimistic service floors) and the
-  conservative deadline check (never dooms a request an idle system
-  would have served in time);
+  (sojourn statistics, optimistic service floors) and the conservative
+  deadline check (never dooms a request an idle system would have
+  served in time);
 * :mod:`repro.overload.controller` — AIMD admission on measured queue
-  delay with deterministic per-priority-class credit accumulators;
-* :mod:`repro.overload.brownout` — the compression brownout ladder
-  (normal → cap compression → force lowest-θ → shed best-effort),
-  walked one rung at a time by a PID-style controller on p99 queue
-  delay, coordinated cluster-wide through the rebalancer.
+  delay with deterministic per-priority-class credit accumulators; the
+  class exponents shed best-effort traffic first.
 
 The open-loop load harness lives in :mod:`repro.overload.bench`
 (``repro bench overload``).
 """
 
-from .brownout import BROWNOUT_LADDER, BrownoutController, BrownoutLevel
 from .controller import (
     PRIORITY_CLASSES,
     PRIORITY_ORDER,
@@ -32,9 +28,6 @@ __all__ = [
     "PRIORITY_CLASSES",
     "PRIORITY_ORDER",
     "normalize_priority",
-    "BrownoutController",
-    "BrownoutLevel",
-    "BROWNOUT_LADDER",
     "bench_overload",
 ]
 

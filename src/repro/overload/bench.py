@@ -2,28 +2,26 @@
 
 The overload controller's job is *goodput under stress without
 metastable collapse*: when offered load exceeds capacity, serve what can
-be served (at degraded accuracy if the brownout ladder engages), shed
-what cannot, and — critically — return to normal once the spike passes.
-This harness measures exactly that, with a seeded arrival schedule so a
-failing run replays bit-for-bit:
+be served, shed what cannot, and — critically — return to normal once
+the spike passes.  This harness measures exactly that, with a seeded
+arrival schedule so a failing run replays bit-for-bit:
 
 1. **calibrate** — a short closed-loop burst measures the cluster's
    capacity (served requests/second);
 2. **baseline** — open-loop Poisson arrivals at 0.5× capacity;
-3. **spike** — 3× capacity (the controller must shed and brown out);
+3. **spike** — 3× capacity (the controller must shed);
 4. **sustained** — 2× capacity (graceful degradation, not collapse);
 5. **recovery** — back to 0.5× capacity: after a short settle window
-   (the controllers' documented relaxation time — brownout dwell per
-   rung, admit-rate regrowth) goodput must return to ≥95% of the
-   baseline phase — the no-metastable-failure assertion.  The settle
-   window offers real load; it is only excluded from the statistics.
+   (the admit rate's documented regrowth time) goodput must return to
+   ≥95% of the baseline phase — the no-metastable-failure assertion.
+   The settle window offers real load; it is only excluded from the
+   statistics.
 
 Each phase records goodput, p99 latency, deadline-miss rate of served
 requests, mean served accuracy, and the shed mix; the report lands in
-``benchmarks/BENCH_overload.json`` together with the brownout
-transition journal, the overload counters, and (when journaled) the
-:func:`~repro.cluster.ledger.audit_cluster` certificate that Σ spent
-≤ B held throughout the storm.
+``benchmarks/BENCH_overload.json`` together with the overload counters
+and (when journaled) the :func:`~repro.cluster.ledger.audit_cluster`
+certificate that Σ spent ≤ B held throughout the storm.
 """
 
 from __future__ import annotations
@@ -85,9 +83,8 @@ def _run_phase(
     ``warmup_seconds`` extends the phase by a settle window at the
     start: warmup arrivals offer real load but are excluded from the
     statistics.  The recovery phase uses it so "goodput after the
-    storm" is measured once the controllers have had their documented
-    relaxation time (brownout dwell per rung, admit-rate regrowth) —
-    not averaged over the transient.
+    storm" is measured once the admit rate has had its documented
+    regrowth time — not averaged over the transient.
     """
     check_positive(rate, "rate")
     check_positive(duration, "duration")
@@ -181,7 +178,6 @@ def bench_overload(
     concurrency: int = 8,
     deadline_seconds: float = 2.0,
     queue_target_seconds: float = 0.25,
-    brownout_target_p99_seconds: float = 0.5,
     recovery_settle_seconds: float = 2.0,
     min_recovery: float = 0.95,
     progress: Callable[[str], None] = print,
@@ -206,11 +202,11 @@ def bench_overload(
         max_batch=8,
         max_wait_seconds=0.005,
         request_timeout_seconds=10.0,
-        rebalance_seconds=0.25,  # doubles as the brownout controller tick
+        # The queue-delay signal's max age is 4x this cadence, so the
+        # phases' measurements depend on it.
+        rebalance_seconds=0.25,
         fsync="never" if journal_root is None else "rotate",
         queue_target_seconds=queue_target_seconds,
-        brownout_target_p99_seconds=brownout_target_p99_seconds,
-        brownout_dwell_seconds=0.5,
         adaptive_lifo=True,
     )
     report: Dict[str, Any] = {
@@ -225,7 +221,6 @@ def bench_overload(
             "phase_seconds": phase_seconds,
             "deadline_seconds": deadline_seconds,
             "queue_target_seconds": queue_target_seconds,
-            "brownout_target_p99_seconds": brownout_target_p99_seconds,
             "recovery_settle_seconds": recovery_settle_seconds,
             "min_recovery": min_recovery,
             "phase_multipliers": dict(PHASE_MULTIPLIERS),
@@ -298,13 +293,11 @@ def bench_overload(
         counters: Dict[str, Any] = {}
         for metric in snapshot.get("metrics", []):
             name = metric.get("name", "")
-            if name.startswith(("overload_", "brownout_", "chaos_burst")):
+            if name.startswith(("overload_", "chaos_burst")):
                 label = ",".join(f"{k}={v}" for k, v in sorted(metric.get("labels", {}).items()))
                 counters[f"{name}{{{label}}}" if label else name] = metric.get("value")
         report["overload_counters"] = counters
         report["overload"] = manager.overload_snapshot()
-        if manager.brownout is not None:
-            report["brownout_transitions"] = manager.brownout.transitions()
         doomed = counters.get("overload_doomed_dispatched_total", 0)
         report["doomed_dispatched"] = doomed
 

@@ -1,15 +1,14 @@
 """Live load signals: per-shard solve-queue sojourn statistics.
 
-Every overload decision in this package — adaptive admission, deadline
-shedding, the brownout ladder — is a function of *measured queue delay*,
-not of static thresholds.  :class:`QueueDelaySignal` is the one place
-those measurements live: the front-end records each request's **sojourn
+Every overload decision in this package — adaptive admission and
+deadline shedding — is a function of *measured queue delay*, not of
+static thresholds.  :class:`QueueDelaySignal` is the one place those
+measurements live: the front-end records each request's **sojourn
 time** (submit → settled result) and each window's **service time**
 (worker solve seconds per request), and the signal maintains
 
-* an EWMA of sojourn time (the smoothed delay ``/health`` reports),
-* a sliding-window p99 of sojourn time (the tail the brownout
-  controller regulates),
+* an EWMA and a sliding-window p99 of sojourn time (what ``/health``
+  and ``repro top`` report through :meth:`QueueDelaySignal.snapshot`),
 * sliding-window *floors* (minimum sojourn and minimum service time) —
   the optimistic estimates that make shedding conservative:
   :meth:`QueueDelaySignal.doomed` declares a request doomed only against
@@ -20,10 +19,9 @@ The windows are fixed-size ring buffers (bounded by construction — the
 data plane must never grow a queue without a cap, see lint rule RL014)
 and additionally **time-bounded**: samples older than
 ``max_age_seconds`` are ignored by every reader.  Without the age bound
-a storm's sojourns would dominate the p99 long after the storm passed
-and pin the brownout controller at its highest rung — the signal must
-decay as fast as the queue it describes.  The clock is injectable so
-every consumer is testable without sleeping.
+a storm's samples would dominate the statistics long after the storm
+passed — the signal must decay as fast as the queue it describes.  The
+clock is injectable so every consumer is testable without sleeping.
 """
 
 from __future__ import annotations
@@ -109,28 +107,6 @@ class QueueDelaySignal:
         cutoff = now - self.max_age_seconds
         return [value for at, value in samples if at >= cutoff]
 
-    @property
-    def samples(self) -> int:
-        with self._lock:
-            return self._samples
-
-    @property
-    def sojourn_ewma(self) -> Optional[float]:
-        """Smoothed sojourn time (None until the first sample)."""
-        with self._lock:
-            return self._sojourn_ewma
-
-    def sojourn_p99(self) -> Optional[float]:
-        now = self._clock()
-        with self._lock:
-            return _quantile(self._fresh(self._sojourns, now), 0.99)
-
-    def sojourn_floor(self) -> Optional[float]:
-        """The best recently-demonstrated sojourn (optimistic queueing)."""
-        now = self._clock()
-        with self._lock:
-            return min(self._fresh(self._sojourns, now), default=None)
-
     def service_floor(self) -> Optional[float]:
         """The best recently-demonstrated per-request solve time."""
         now = self._clock()
@@ -152,12 +128,6 @@ class QueueDelaySignal:
         floor = self.service_floor()
         return floor is not None and remaining_seconds < floor
 
-    def service_mean(self) -> Optional[float]:
-        now = self._clock()
-        with self._lock:
-            values = self._fresh(self._services, now)
-        return sum(values) / len(values) if values else None
-
     def snapshot(self) -> Dict[str, Any]:
         now = self._clock()
         with self._lock:
@@ -172,6 +142,3 @@ class QueueDelaySignal:
             "service_floor": min(services, default=None),
             "service_mean": sum(services) / len(services) if services else None,
         }
-
-    def __repr__(self) -> str:
-        return f"QueueDelaySignal(samples={self.samples}, ewma={self.sojourn_ewma})"

@@ -1,13 +1,12 @@
 """``repro top`` — a live terminal dashboard for a running cluster.
 
-One screenful, refreshed in place, answering the operator's first five
+One screenful, refreshed in place, answering the operator's first
 questions without leaving the terminal:
 
 * **shard table** — per shard: up/down, restarts, solve throughput
   (qps, from the delta of solve-span counts between refreshes), queue
   delay p99, admit rate, and energy-lease utilization;
 * **budget line** — global budget, total spend, rebalance count;
-* **overload line** — the cluster-wide brownout rung by name;
 * **hottest phases** — the top-5 phases by span self time, merged
   across the front-end and every shard (``/debug/profile``).
 
@@ -100,13 +99,11 @@ class ClusterTop:
         health = state["health"]
         qps = state["qps"]
         overload = health.get("overload", {})
-        brownout = overload.get("brownout")
         ledger = health.get("ledger", {})
         out = io.StringIO()
-        rung = "off" if brownout is None else f"{brownout['level']} ({brownout['name']})"
         out.write(
             f"repro top — {self.base_url}   status: {health.get('status', '?')}   "
-            f"brownout: {rung}   refresh: {self.interval:g}s   [q quits]\n\n"
+            f"refresh: {self.interval:g}s   [q quits]\n\n"
         )
         out.write(
             f"{'SHARD':<12}{'STATE':<7}{'RESTARTS':<10}{'QPS':<8}"

@@ -16,9 +16,9 @@ under extreme pressure should the lowest-value tasks be shed.
     degraded = policy.apply(instance, spent_fraction=0.9)
 
 Crossing a watermark truncates every task's accuracy curve at
-``work_cap_scale × f_max`` (:func:`cap_work`, which the cluster's
-brownout ladder uses too) — the scheduler then cannot spend more than
-the cap on any task, i.e. every task runs a harder-compressed model.
+``work_cap_scale × f_max`` (:func:`cap_work`) — the scheduler then
+cannot spend more than the cap on any task, i.e. every task runs a
+harder-compressed model.
 The deepest watermark may also set ``shed_fraction``: that fraction of
 tasks (lowest marginal accuracy per FLOP first, i.e. smallest θ) is
 dropped from the instance entirely.  At least one task always survives —

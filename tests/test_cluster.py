@@ -439,13 +439,15 @@ def test_worker_answers_window_stats_and_shutdown_and_errors_anything_else():
     requests, replies = queue.Queue(), queue.Queue()
     for batch_id, op in enumerate(("profile", "cancel", "stats"), start=1):
         requests.put({"op": op, "batch_id": batch_id})
+    requests.put(None)
     requests.put({"op": "shutdown", "batch_id": 4})
     worker_main(WorkerConfig("shard-00"), requests, replies)
-    answers = [replies.get(timeout=5.0) for _ in range(4)]
+    answers = [replies.get(timeout=5.0) for _ in range(5)]
     assert [(a["op"], a["batch_id"]) for a in answers] == [
         ("error", 1),
         ("error", 2),
         ("stats", 3),
+        ("error", None),
         ("shutdown_ack", 4),
     ]
     assert answers[0]["error"] == "unknown op 'profile'"

@@ -1,4 +1,4 @@
-"""Tests for repro.overload: signals, admission, shedding, brownout, batching."""
+"""Tests for repro.overload: signals, admission, shedding, batching."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import threading
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterManager, QueueFullError, WindowBatcher
-from repro.overload import (
-    BROWNOUT_LADDER,
-    AdmitRateController,
-    BrownoutController,
-    QueueDelaySignal,
-    normalize_priority,
-)
+from repro.overload import AdmitRateController, QueueDelaySignal, normalize_priority
 from repro.resilience.admission import AdmissionController
 
 from conftest import make_instance
@@ -39,17 +33,19 @@ class FakeClock:
 def test_signal_ewma_and_tail():
     clock = FakeClock()
     signal = QueueDelaySignal(clock=clock)
-    assert signal.sojourn_ewma is None and signal.sojourn_p99() is None
+    snap = signal.snapshot()
+    assert snap["sojourn_ewma"] is None and snap["sojourn_p99"] is None
     signal.observe_sojourn(1.0)
     signal.observe_sojourn(3.0)
-    assert signal.sojourn_ewma == pytest.approx(1.4)  # 0.2*3 + 0.8*1
-    assert signal.sojourn_p99() == 3.0
-    assert signal.sojourn_floor() == 1.0
+    snap = signal.snapshot()
+    assert snap["sojourn_ewma"] == pytest.approx(1.4)  # 0.2*3 + 0.8*1
+    assert snap["sojourn_p99"] == 3.0
+    assert snap["sojourn_floor"] == 1.0
     signal.observe_service(0.25)
     signal.observe_service(0.75)
     assert signal.service_floor() == 0.25
-    assert signal.service_mean() == pytest.approx(0.5)
     snap = signal.snapshot()
+    assert snap["service_mean"] == pytest.approx(0.5)
     assert snap["samples"] == 2 and snap["service_floor"] == 0.25
 
 
@@ -60,20 +56,20 @@ def test_signal_forgets_stale_storm_samples():
     signal.observe_sojourn(9.0)  # storm-era tail
     clock.advance(1.0)
     signal.observe_sojourn(0.01)  # queue has drained
-    assert signal.sojourn_p99() == 9.0  # storm sample still fresh
+    assert signal.snapshot()["sojourn_p99"] == 9.0  # storm sample still fresh
     clock.advance(1.5)  # storm sample is now 2.5 s old, fresh one 1.5 s
-    assert signal.sojourn_p99() == 0.01
+    assert signal.snapshot()["sojourn_p99"] == 0.01
     clock.advance(1.0)  # everything stale
-    assert signal.sojourn_p99() is None
+    assert signal.snapshot()["sojourn_p99"] is None
 
 
 def test_signal_ignores_nonfinite_and_clamps_negative():
     signal = QueueDelaySignal(clock=FakeClock())
     signal.observe_sojourn(float("nan"))
     signal.observe_sojourn(float("inf"))
-    assert signal.samples == 0
+    assert signal.snapshot()["samples"] == 0
     signal.observe_sojourn(-1.0)
-    assert signal.sojourn_floor() == 0.0
+    assert signal.snapshot()["sojourn_floor"] == 0.0
 
 
 # -- AdmitRateController ---------------------------------------------------------
@@ -176,80 +172,6 @@ def test_shedder_never_drops_an_idle_feasible_request():
     assert not signal.doomed(0.05)  # == floor: an idle shard makes it
     assert not signal.doomed(1.0)
     assert signal.doomed(0.04)  # below even the idle floor: certain miss
-
-
-# -- BrownoutController ----------------------------------------------------------
-
-
-def brownout(clock, **kwargs):
-    kwargs.setdefault("target_p99_seconds", 1.0)
-    kwargs.setdefault("min_dwell_seconds", 1.0)
-    return BrownoutController(clock=clock, **kwargs)
-
-
-def test_brownout_walks_the_ladder_one_rung_at_a_time():
-    clock = FakeClock()
-    ctl = brownout(clock)
-    levels = []
-    for _ in range(8):
-        clock.advance(1.1)
-        levels.append(ctl.update(50.0))  # massive overload, forever
-    assert levels[0] == 1  # never skips a rung despite huge pressure
-    assert max(levels) == len(BROWNOUT_LADDER) - 1
-    for earlier, later in zip(levels, levels[1:]):
-        assert later - earlier <= 1
-    assert [t["to"] for t in ctl.transitions()] == [1, 2, 3]
-
-
-def test_brownout_dwell_blocks_thrash():
-    clock = FakeClock()
-    ctl = brownout(clock, min_dwell_seconds=10.0)
-    clock.advance(11.0)
-    assert ctl.update(50.0) == 1
-    clock.advance(0.5)  # within the dwell
-    assert ctl.update(0.0) == 1  # wants to step down, must hold
-    clock.advance(10.0)
-    assert ctl.update(0.0) == 0
-
-
-def test_brownout_relaxes_to_normal_on_no_signal():
-    clock = FakeClock()
-    ctl = brownout(clock)
-    clock.advance(1.1)
-    assert ctl.update(50.0) == 1
-    clock.advance(1.1)
-    assert ctl.update(None) == 0  # no samples reads as an idle cluster
-    assert ctl.current.name == "normal"
-
-
-def test_brownout_is_deterministic_under_a_seeded_trace():
-    import random
-
-    trace = [random.Random(7).uniform(0.0, 5.0) for _ in range(50)]
-
-    def run():
-        clock = FakeClock()
-        ctl = brownout(clock, min_dwell_seconds=0.5)
-        out = []
-        for p99 in trace:
-            clock.advance(0.25)
-            out.append(ctl.update(p99))
-        return out, [(t["from"], t["to"]) for t in ctl.transitions()]
-
-    assert run() == run()
-
-
-def test_brownout_reports_transitions_to_its_owner():
-    seen = []
-    clock = FakeClock()
-    ctl = brownout(clock, on_transition=lambda old, new, p99: seen.append((old, new)))
-    clock.advance(1.1)
-    ctl.update(50.0)
-    clock.advance(1.1)
-    ctl.update(0.0)
-    assert seen == [(0, 1), (1, 0)]
-    snap = ctl.snapshot()
-    assert snap["level"] == 0 and snap["transitions"] == 2
 
 
 # -- WindowBatcher: priorities, bounds, adaptive LIFO ----------------------------
@@ -373,8 +295,6 @@ def overload_cluster():
         rebalance_seconds=0.1,
         fsync="never",
         queue_target_seconds=0.5,
-        brownout_target_p99_seconds=1.0,
-        brownout_dwell_seconds=0.2,
         adaptive_lifo=True,
     )
     with ClusterManager(config) as manager:
@@ -411,37 +331,32 @@ def test_cluster_overload_snapshot_shape(overload_cluster, instance_doc):
     overload_cluster.submit("approx", instance_doc, priority="best_effort")
     health = overload_cluster.health()
     overload = health["overload"]
-    assert overload["brownout"]["level"] in range(len(BROWNOUT_LADDER))
     (shard_stats,) = overload["shards"].values()
     assert 0.0 < shard_stats["admit_rate"] <= 1.0
     assert "queue_delay" in shard_stats
 
 
-def test_frontend_sheds_doomed_then_brownout_then_overload():
+def test_frontend_sheds_doomed_then_overload():
     # The front-end's one admission path, in order: a doomed deadline,
-    # then the best-effort shed of brownout rung 3, then the AIMD refusal.
+    # then the AIMD refusal, which refuses best-effort traffic first.
     # Nothing here reaches the batcher, so no worker needs to run.
-    config = ClusterConfig(shards=1, queue_target_seconds=0.5, brownout_target_p99_seconds=1.0)
+    config = ClusterConfig(shards=1, queue_target_seconds=0.5)
     manager = ClusterManager(config)
     manager._handles["shard-00"].alive = True
     state = manager._overload["shard-00"]
     state.signal.observe_service(1.0)  # no request with under 1 s left can make it
     clock = FakeClock()
-    manager.brownout = brownout(clock)
-    for _ in range(3):
-        clock.advance(1.1)
-        manager.brownout.update(50.0)
-    assert manager.brownout.current.shed_best_effort
     state.controller = AdmitRateController(interval_seconds=1.0, clock=clock)
     for _ in range(12):
         clock.advance(1.1)
         state.controller.observe(10.0)
-    assert state.controller.admit("standard")  # spends the starting credit
+    # Spend the starting credits.
+    assert state.controller.admit("standard") and state.controller.admit("best_effort")
 
     doomed = manager.submit("approx", {}, priority="best_effort", deadline_seconds=0.5)
-    shed = manager.submit("approx", {}, priority="best_effort")
+    best_effort = manager.submit("approx", {}, priority="best_effort")
     refused = manager.submit("approx", {}, priority="standard")
     assert (doomed["error"], doomed["retry_after"]) == ("deadline_doomed", 1.0)
-    assert (shed["error"], shed["retry_after"]) == ("brownout_shed", 2.0)
+    assert (best_effort["error"], best_effort["retry_after"]) == ("overload", 1.0)
     assert (refused["error"], refused["retry_after"]) == ("overload", 1.0)
-    assert all(doc["status"] == 503 for doc in (doomed, shed, refused))
+    assert all(doc["status"] == 503 for doc in (doomed, best_effort, refused))

@@ -31,7 +31,7 @@ _EVENTS = st.one_of(
         st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
-    # Shed before dispatch (doomed / brownout / admit-rate): the request
+    # Shed before dispatch (doomed / admit-rate): the request
     # never reaches the ledger at all — refund by construction.
     st.tuples(
         st.just("shed_pre_reserve"),
