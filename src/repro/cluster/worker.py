@@ -207,7 +207,7 @@ def _handle_window(state: _ShardState, envelope: Dict[str, Any]) -> Optional[Dic
         return None
     return {
         "op": "window_done",
-        "batch_id": envelope["batch_id"],
+        "batch_id": envelope.get("batch_id"),
         "shard": state.config.shard,
         "epoch": envelope.get("epoch"),
         "results": results,
@@ -220,7 +220,7 @@ def _handle_window(state: _ShardState, envelope: Dict[str, Any]) -> Optional[Dic
 def _handle_stats(state: _ShardState, envelope: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "op": "stats",
-        "batch_id": envelope["batch_id"],
+        "batch_id": envelope.get("batch_id"),
         "shard": state.config.shard,
         "energy_spent": state.energy_spent,
         "solves_total": state.solves_total,

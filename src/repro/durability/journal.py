@@ -58,7 +58,7 @@ import time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
 
 from ..telemetry import get_collector
 from ..utils.errors import JournalCorruptError, ValidationError
@@ -68,6 +68,7 @@ from ..utils.validation import require
 __all__ = [
     "FSYNC_POLICIES",
     "SEGMENT_PREFIX",
+    "encode_payload",
     "encode_record",
     "decode_stream",
     "JournalWriter",
@@ -85,9 +86,18 @@ _HEX = frozenset(b"0123456789abcdef")
 _SYNC_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 
-def encode_record(event: Dict[str, Any]) -> bytes:
-    """Frame one event as a length+checksum JSONL record."""
-    payload = json.dumps(event, separators=(",", ":"), sort_keys=True).encode("ascii")
+def encode_payload(event: Mapping[str, Any]) -> bytes:
+    """One event's canonical payload: compact, key-sorted, ASCII JSON."""
+    return json.dumps(event, separators=(",", ":"), sort_keys=True).encode("ascii")
+
+
+def encode_record(event: Union[Mapping[str, Any], bytes]) -> bytes:
+    """Frame one event as a length+checksum JSONL record.
+
+    ``event`` may also be its :func:`encode_payload` bytes, so a caller
+    that keeps the payload (a snapshot splices it) encodes it only once.
+    """
+    payload = event if isinstance(event, bytes) else encode_payload(event)
     return b"%08x %08x " % (len(payload), zlib.crc32(payload)) + payload + b"\n"
 
 
@@ -253,8 +263,10 @@ class JournalWriter:
         """The segment currently being appended to."""
         return _segment_path(self.directory, self._segment_index)
 
-    def append(self, event: Dict[str, Any]) -> int:
+    def append(self, event: Union[Mapping[str, Any], bytes]) -> int:
         """Append one event; returns its absolute record index.
+
+        ``event`` may be its :func:`encode_payload` bytes instead.
 
         Outside a :meth:`group`, the record is flushed (and, under
         ``fsync="always"``, synced) before this returns; inside one, both

@@ -7,7 +7,8 @@ write-ahead log *before* it takes effect, state is checkpointed every
 few windows, and a restarted run picks up exactly where the crash left
 off:
 
-1. arrivals entering a window are journaled (``arrival``);
+1. the requests entering a window are journaled as one columnar
+   ``arrivals`` record (ids, arrival times, SLOs, efficiencies);
 2. the window's plan intent is journaled (``window_plan``) — a crash
    mid-solve leaves a plan without a commit, and the window is simply
    re-solved on resume;
@@ -17,11 +18,16 @@ off:
    :class:`~repro.resilience.degrade.DegradationPolicy` resumes at the
    right watermark instead of forgetting the spent budget.
 
-A window costs two journal commits.  Its ``arrival``, ``degrade`` and
+A window costs two journal commits.  Its ``arrivals``, ``degrade`` and
 ``window_plan`` records are one :meth:`JournalWriter.group
 <repro.durability.journal.JournalWriter.group>`, committed before the
 solve (nothing acts on them earlier); ``window_done`` is a lone append,
 committed before the window returns.
+
+Each ``window_done`` is encoded once.  The run keeps its payload bytes
+(:attr:`DurableWindow.record`), and a snapshot splices them into the
+canonical JSON of the state instead of re-encoding every committed
+window, so a window's bookkeeping costs O(window), not O(run).
 
 Because planning is deterministic given the instance (all seeds flow
 through :mod:`repro.utils.rng` and every scheduler here is
@@ -35,7 +41,7 @@ and accuracies compare equal with ``==``, not approximately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -49,7 +55,7 @@ from ..telemetry import get_collector
 from ..utils.errors import RecoveryError, ValidationError
 from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request, window_batches
-from .journal import JournalWriter
+from .journal import JournalWriter, encode_payload
 from .recovery import RecoveredState, certify, recover
 from .snapshot import SnapshotStore
 
@@ -70,6 +76,8 @@ class DurableWindow:
     cum_energy: float  #: cumulative spend *after* this window (the ledger)
     level: int  #: degradation level the window was planned at (−1: none)
     replayed: bool = False  #: restored from the journal rather than solved
+    #: the ``window_done`` payload (canonical JSON) that committed the window
+    record: bytes = field(default=b"", repr=False, compare=False)
 
     @property
     def n_requests(self) -> int:
@@ -229,8 +237,8 @@ class DurableRun:
                 )
 
     @staticmethod
-    def _window(data: Dict[str, Any], *, replayed: bool) -> DurableWindow:
-        """The window a ``window_done`` record commits."""
+    def _window(data: Dict[str, Any], *, replayed: bool, record: bytes) -> DurableWindow:
+        """The window the ``window_done`` ``data``, encoded as ``record``, commits."""
         return DurableWindow(
             index=int(data["window"]),
             start=float(data["start"]),
@@ -242,6 +250,7 @@ class DurableRun:
             cum_energy=float(data["cum_energy"]),
             level=int(data["level"]),
             replayed=replayed,
+            record=record,
         )
 
     def run(self, requests: Sequence[Request]) -> DurableReport:
@@ -253,7 +262,6 @@ class DurableRun:
         with JournalWriter(self.journal_dir, fsync=self.fsync) as journal:
             store = SnapshotStore(self.journal_dir, fsync=self.fsync != "never")
             windows: List[DurableWindow] = []
-            window_dicts: List[Dict[str, Any]] = []
             cum_energy = 0.0
             level = -1
             next_window = 0
@@ -262,8 +270,7 @@ class DurableRun:
             if journal.record_count > 0:
                 recovered = certify(recover(self.journal_dir), budget=self.energy_budget)
                 self._check_meta(recovered, len(ordered))
-                windows = [self._window(w, replayed=True) for w in recovered.windows]
-                window_dicts = [dict(w) for w in recovered.windows]
+                windows = [self._window(w, replayed=True, record=encode_payload(w)) for w in recovered.windows]
                 cum_energy = recovered.energy_spent
                 level = recovered.degrade_level
                 next_window = recovered.next_window
@@ -282,22 +289,17 @@ class DurableRun:
             for index, (start, batch) in enumerate(window_batches(ordered, self.window_seconds)):
                 if index < next_window:
                     continue  # committed before the crash; replayed above
-                window_dict, window = self._plan_window(journal, index, start, batch, ids, cum_energy, level)
+                _, window = self._plan_window(journal, index, start, batch, ids, cum_energy, level)
                 cum_energy = window.cum_energy
                 level = window.level
                 windows.append(window)
-                window_dicts.append(window_dict)
                 tele.counter("durable_windows_total").inc()
                 if (index + 1) % self.snapshot_every == 0:
-                    store.save(
-                        {
-                            "meta": meta,
-                            "windows": window_dicts,
-                            "cum_energy": cum_energy,
-                            "level": level,
-                        },
-                        journal_records=journal.record_count,
-                    )
+                    # The state's canonical JSON, spliced: "windows" sorts
+                    # after the other keys, and each window is its record.
+                    head = encode_payload({"cum_energy": cum_energy, "level": level, "meta": meta})
+                    state = head[:-1] + b',"windows":[' + b",".join(w.record for w in windows) + b"]}"
+                    store.save(state, journal_records=journal.record_count)
 
             journal.append({"type": "run_end", "windows": len(windows), "cum_energy": cum_energy})
         return DurableReport(tuple(windows), self.energy_budget)
@@ -331,16 +333,16 @@ class DurableRun:
         # One commit for the pre-solve records: recovery acts on none of
         # them, so they only need to be durable before the solve starts.
         with journal.group():
-            for request in batch:
-                journal.append(
-                    {
-                        "type": "arrival",
-                        "id": ids[id(request)],
-                        "t": request.arrival_time,
-                        "slo": request.slo_seconds,
-                        "theta": request.theta_per_tflop,
-                    }
-                )
+            journal.append(
+                {
+                    "type": "arrivals",
+                    "window": index,
+                    "ids": [ids[id(request)] for request in batch],
+                    "t": [request.arrival_time for request in batch],
+                    "slo": [request.slo_seconds for request in batch],
+                    "theta": [request.theta_per_tflop for request in batch],
+                }
+            )
             if solve:
                 if self.degradation is not None:
                     spent_fraction = cum_energy / self.energy_budget
@@ -398,5 +400,6 @@ class DurableRun:
             "energy": energy,
             "cum_energy": cum_energy + energy,
         }
-        journal.append(done)
-        return done, self._window(done, replayed=False)
+        record = encode_payload(done)
+        journal.append(record)
+        return done, self._window(done, replayed=False, record=record)

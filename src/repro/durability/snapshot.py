@@ -6,6 +6,11 @@ holding the run's accumulated state *plus* the journal position it
 covers (``journal_records``) — recovery loads the newest usable
 snapshot and replays only the journal suffix past it.
 
+A snapshot file is the canonical compact JSON of its document
+(sorted keys, no whitespace) — the encoding of journal payloads, so a
+:class:`~repro.durability.run.DurableRun` splices its already-journaled
+``window_done`` payloads into the snapshot instead of re-encoding them.
+
 Writes go through :func:`repro.utils.atomic_write` (write-temp + fsync
 + rename), so a crash mid-snapshot leaves the previous snapshot intact
 and never a truncated one under a valid name.  Snapshots are
@@ -18,12 +23,13 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..telemetry import get_collector
 from ..utils.errors import ValidationError
 from ..utils.fileio import atomic_write
 from ..utils.validation import check_nonnegative, require
+from .journal import encode_payload
 
 __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "SnapshotStore"]
 
@@ -59,18 +65,27 @@ class SnapshotStore:
             return 1
         return int(paths[-1].name[len(_PREFIX) : -len(".json")]) + 1
 
-    def save(self, state: Dict[str, Any], *, journal_records: int) -> Path:
-        """Persist ``state`` covering the first ``journal_records`` records."""
+    def save(self, state: Union[Mapping[str, Any], bytes], *, journal_records: int) -> Path:
+        """Persist ``state`` covering the first ``journal_records`` records.
+
+        ``state`` may also be its canonical JSON bytes (compact, sorted
+        keys, as :func:`~repro.durability.journal.encode_payload` writes),
+        so a caller holding already-encoded parts splices them instead of
+        re-encoding them.  Either way the file is the canonical compact
+        JSON of the whole document.
+        """
         check_nonnegative(journal_records, "journal_records")
-        document = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "journal_records": int(journal_records),
-            "state": state,
-        }
+        body = state if isinstance(state, bytes) else encode_payload(state)
+        # The document's keys in sorted order: format, journal_records, state, version.
+        document = b'{"format":%s,"journal_records":%d,"state":%s,"version":%d}' % (
+            json.dumps(SNAPSHOT_FORMAT).encode("ascii"),
+            int(journal_records),
+            body,
+            SNAPSHOT_VERSION,
+        )
         path = self.directory / f"{_PREFIX}{self._next_sequence():08d}.json"
         start = time.perf_counter()
-        atomic_write(path, json.dumps(document, sort_keys=True), fsync=self.fsync)
+        atomic_write(path, document, fsync=self.fsync)
         tele = get_collector()
         tele.histogram("snapshot_duration_seconds", buckets=_DURATION_BUCKETS).observe(
             time.perf_counter() - start

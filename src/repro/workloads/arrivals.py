@@ -15,8 +15,9 @@ range.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 from ..utils.rng import SeedLike, ensure_rng
@@ -124,15 +125,24 @@ def window_batches(requests: List[Request], window_seconds: float) -> Iterator[t
     """Group a request stream into planning windows.
 
     Yields ``(window_start, requests_in_window)`` for each window from 0
-    to the last arrival; empty windows are skipped.
+    to the last arrival; empty windows are skipped.  Window starts are
+    accumulated (``start += window_seconds``) and each request is placed
+    by bisection in one pass, so the cost is O(W + n log W), not O(n W); a
+    batch keeps the requests' input order.
     """
     check_positive(window_seconds, "window_seconds")
     if not requests:
         return
     horizon = max(r.arrival_time for r in requests)
+    starts: List[float] = []
     start = 0.0
     while start <= horizon:
-        batch = [r for r in requests if start <= r.arrival_time < start + window_seconds]
-        if batch:
-            yield start, batch
+        starts.append(start)
         start += window_seconds
+    batches: Dict[int, List[Request]] = {}
+    for request in requests:
+        k = bisect_right(starts, request.arrival_time) - 1
+        if k >= 0 and request.arrival_time < starts[k] + window_seconds:
+            batches.setdefault(k, []).append(request)
+    for k in sorted(batches):
+        yield starts[k], batches[k]

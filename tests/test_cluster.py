@@ -453,6 +453,20 @@ def test_worker_answers_window_stats_and_shutdown_and_errors_anything_else():
     assert answers[0]["error"] == "unknown op 'profile'"
 
 
+def test_worker_answers_envelopes_without_batch_id():
+    requests, replies = queue.Queue(), queue.Queue()
+    for op in ("stats", "window", "shutdown"):
+        requests.put({"op": op})
+    worker_main(WorkerConfig("shard-00"), requests, replies)
+    answers = [replies.get(timeout=5.0) for _ in range(3)]
+    assert [(a["op"], a["batch_id"]) for a in answers] == [
+        ("stats", None),
+        ("window_done", None),
+        ("shutdown_ack", None),
+    ]
+    assert answers[0]["shard"] == "shard-00" and answers[1]["results"] == []
+
+
 # -- the cluster end to end -----------------------------------------------------
 
 

@@ -431,12 +431,12 @@ class TestDurableWindowCommits:
                 _, window = run._plan_window(journal, 0, 0.0, requests, ids, spent, -1)
             assert len(fsyncs) - before == 2
             assert window.level == (0 if degrade else -1)
-        records = len(requests) + 2 + (1 if degrade else 0)
+        records = 3 + (1 if degrade else 0)
         assert registry.counter("journal_syncs_total").value == 2
         assert registry.get("journal_sync_seconds").count == 2
         assert registry.counter("journal_records_total").value == records
         kinds = [e["type"] for e in read_events(tmp_path)]
-        assert kinds == ["arrival"] * len(requests) + (["degrade"] if degrade else []) + [
+        assert kinds == ["arrivals"] + (["degrade"] if degrade else []) + [
             "window_plan",
             "window_done",
         ]
@@ -458,7 +458,7 @@ class TestDurableWindowCommits:
             done, window = run._plan_window(journal, 0, 0.0, requests, ids, budget, 2)
             assert len(fsyncs) - before == 2 and window.energy == 0.0
         events = read_events(tmp_path)
-        assert [e["type"] for e in events] == ["arrival"] * len(requests) + ["window_done"]
+        assert [e["type"] for e in events] == ["arrivals", "window_done"]
         assert {k: v for k, v in events[-1].items() if k != "trace_id"} == done
         # Nothing planned, nothing spent, the degradation level kept.
         n = len(requests)
@@ -485,7 +485,7 @@ class TestDurableWindowCommits:
         first_done = kinds.index("window_done")
         plan = next(i for i, e in enumerate(events) if e["type"] == "window_plan" and e["window"] == 1)
         group_start, group_end = ends[first_done], ends[plan]
-        assert plan - first_done >= 3  # at least two arrivals and the plan
+        assert plan - first_done >= 2  # the window's arrivals record and its plan
         cut_dir = tmp_path / "cut"
         cut_dir.mkdir()
         segment = cut_dir / "wal-00000001.log"
@@ -501,6 +501,108 @@ class TestDurableWindowCommits:
             resumed = make_durable(cluster, resume_dir, budget=budget, degrade=True).run(requests)
             assert resumed.same_outcome(reference)
             assert resumed.replayed_windows == 1
+
+
+def per_request_arrivals(events):
+    """The same history in the older layout: one ``arrival`` record per request."""
+    out = []
+    for event in events:
+        if event["type"] != "arrivals":
+            out.append(event)
+            continue
+        columns = zip(event["ids"], event["t"], event["slo"], event["theta"])
+        out.extend({"type": "arrival", "id": i, "t": t, "slo": s, "theta": th} for i, t, s, th in columns)
+    return out
+
+
+class TestEncodedWindowRecords:
+    """Window records are encoded once; snapshots splice them."""
+
+    @pytest.fixture
+    def budget(self, cluster):
+        return 0.35 * 8.0 * cluster.total_power
+
+    def test_every_snapshot_is_canonical_json_of_its_document(
+        self, cluster, requests, budget, tmp_path, monkeypatch
+    ):
+        written = []
+        save = SnapshotStore.save
+
+        def capture(store, state, *, journal_records):
+            path = save(store, state, journal_records=journal_records)
+            written.append((path.read_bytes(), store.load(path)))
+            return path
+
+        monkeypatch.setattr(SnapshotStore, "save", capture)
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True, snapshot_every=1).run(
+            requests
+        )
+        # A resumed run re-encodes the windows it recovered.
+        stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "wal-00000001.log").write_bytes(stream[: len(stream) // 2])
+        resumed = make_durable(cluster, tmp_path / "cut", budget=budget, degrade=True, snapshot_every=1).run(
+            requests
+        )
+        assert resumed.same_outcome(reference) and resumed.replayed_windows > 0
+        assert len(written) == len(reference.windows) + len(resumed.windows) - resumed.replayed_windows
+
+        dones = [e for e in read_events(tmp_path / "ref") if e["type"] == "window_done"]
+        for data, document in written:
+            assert data == json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
+            state = document["state"]
+            assert state["windows"] == dones[: len(state["windows"])]
+            assert state["cum_energy"] == state["windows"][-1]["cum_energy"]
+            assert state["level"] == state["windows"][-1]["level"]
+            assert state["meta"]["n_requests"] == len(requests)
+
+    def test_recover_gives_the_same_windows_without_the_snapshots(self, cluster, requests, budget, tmp_path):
+        make_durable(cluster, tmp_path / "run", budget=budget, degrade=True).run(requests)
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for segment in journal_segments(tmp_path / "run"):
+            (bare / segment.name).write_bytes(segment.read_bytes())
+        snapshotted, replayed = recover(tmp_path / "run"), recover(bare)
+        assert snapshotted.used_snapshot and not replayed.used_snapshot
+        assert snapshotted.windows == replayed.windows
+        assert (snapshotted.energy_spent, snapshotted.degrade_level, snapshotted.next_window) == (
+            replayed.energy_spent,
+            replayed.degrade_level,
+            replayed.next_window,
+        )
+
+    def test_journal_with_per_request_arrival_records_recovers_and_resumes(
+        self, cluster, requests, budget, tmp_path
+    ):
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        legacy = per_request_arrivals(read_events(tmp_path / "ref"))
+        dones = [i for i, e in enumerate(legacy) if e["type"] == "window_done"]
+        # Three committed windows, the first two also in a snapshot
+        # written with the older, spaced JSON encoding.
+        journal_dir = tmp_path / "legacy"
+        journal_dir.mkdir()
+        (journal_dir / "wal-00000001.log").write_bytes(b"".join(encode_record(e) for e in legacy[: dones[2] + 1]))
+        last = legacy[dones[1]]
+        document = {
+            "format": "repro.snapshot",
+            "version": 1,
+            "journal_records": dones[1] + 1,
+            "state": {
+                "meta": legacy[0]["meta"],
+                "windows": [legacy[i] for i in dones[:2]],
+                "cum_energy": last["cum_energy"],
+                "level": last["level"],
+            },
+        }
+        (journal_dir / "snapshot-00000001.json").write_text(json.dumps(document, sort_keys=True))
+
+        state = certify(recover(journal_dir), budget=budget)
+        assert state.used_snapshot and state.next_window == 3
+        assert state.counts["arrival"] > 1 and "arrivals" not in state.counts
+        assert state.energy_spent == reference.windows[2].cum_energy
+        resumed = make_durable(cluster, journal_dir, budget=budget, degrade=True).run(requests)
+        assert resumed.same_outcome(reference) and resumed.replayed_windows == 3
+        certify(recover(journal_dir), budget=budget)
 
 
 # -- the online simulator's journal ----------------------------------------------

@@ -13,6 +13,7 @@ from repro.utils.errors import ValidationError
 from repro.workloads import (
     MMPPArrivals,
     PoissonArrivals,
+    Request,
     TaskGenConfig,
     budget_sweep_instance,
     earliest_high_efficiency_tasks,
@@ -271,6 +272,55 @@ class TestArrivals:
 
     def test_window_batches_empty_stream(self):
         assert list(window_batches([], 1.0)) == []
+
+    @staticmethod
+    def scan_window_batches(requests, window_seconds):
+        """The reference: rescan the whole stream for every window start."""
+        horizon = max(r.arrival_time for r in requests)
+        start, out = 0.0, []
+        while start <= horizon:
+            batch = [r for r in requests if start <= r.arrival_time < start + window_seconds]
+            if batch:
+                out.append((start, batch))
+            start += window_seconds
+        return out
+
+    def assert_matches_scan(self, requests, window_seconds):
+        got = list(window_batches(requests, window_seconds))
+        want = self.scan_window_batches(requests, window_seconds)
+        # Identity, not equality: the same Request objects in the same order.
+        assert [s for s, _ in got] == [s for s, _ in want]
+        assert [[id(r) for r in b] for _, b in got] == [[id(r) for r in b] for _, b in want]
+
+    @pytest.mark.parametrize("window_seconds", [0.1, 0.3, 0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_batches_match_the_scan_on_random_streams(self, seed, window_seconds):
+        rng = np.random.default_rng(seed)
+        ordered = MMPPArrivals(2.0, 25.0, mean_phase_seconds=2.0, seed=seed).generate(12.0)
+        shuffled = [ordered[i] for i in rng.permutation(len(ordered))]
+        self.assert_matches_scan(ordered, window_seconds)
+        self.assert_matches_scan(shuffled, window_seconds)
+
+    @given(
+        window_seconds=st.floats(0.1, 2.0),
+        ticks=st.lists(st.integers(0, 60), min_size=1, max_size=40),
+        shift=st.sampled_from([0.0, -1e-12, 1e-12]),
+        accumulated=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_batches_match_the_scan_on_window_edges(self, window_seconds, ticks, shift, accumulated):
+        # Arrivals on (or a hair off) the grid — accumulated like the
+        # window starts, or multiplied, which rounds differently — in
+        # any order, including a negative time no window holds.
+        grid = [0.0]
+        while len(grid) < 61:
+            grid.append(grid[-1] + window_seconds if accumulated else len(grid) * window_seconds)
+        requests = [
+            Request(arrival_time=max(grid[k] + shift, -1e-12), slo_seconds=1.0, theta_per_tflop=1.0)
+            for k in ticks
+        ]
+        self.assert_matches_scan(requests, window_seconds)
+        self.assert_matches_scan(requests[::-1], window_seconds)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValidationError):
