@@ -43,7 +43,7 @@ def pytest_addoption(parser):
         default=None,
         metavar="PATH",
         help="collect telemetry across the benchmark run and export it here "
-        "(.jsonl/.csv/.prom); each test becomes one trace named after it",
+        "(.jsonl/.prom); each test becomes one trace named after it",
     )
 
 

@@ -32,7 +32,7 @@ Observability (``repro.telemetry``):
     :class:`~repro.telemetry.registry.MetricsRegistry` (counters,
     gauges, histograms, phase spans),
     :func:`~repro.telemetry.context.collector` activation, and
-    JSON-lines/CSV/Prometheus exporters — every solver and serving path
+    JSON-lines/Prometheus exporters — every solver and serving path
     is instrumented.
 """
 

@@ -98,8 +98,8 @@ Commands
 
 ``solve``, ``compare`` and ``serve`` accept ``--metrics-out PATH``:
 the run executes under an active telemetry collector and the collected
-metrics/spans are exported to PATH (format from the suffix: ``.jsonl``,
-``.csv``, or ``.prom``).
+metrics/spans are exported to PATH (format from the suffix: ``.jsonl``
+or ``.prom``).
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         metavar="PATH",
-        help="collect telemetry and export it here (.jsonl/.csv/.prom)",
+        help="collect telemetry and export it here (.jsonl/.prom)",
     )
 
 
@@ -457,11 +457,12 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 def _run_online(args: argparse.Namespace) -> int:
     from .online.planner import RollingHorizonPlanner
+    from .utils.errors import RecoveryError
     from .workloads.arrivals import PoissonArrivals
 
-    if args.journal_dir is None and (args.degrade or args.budget_fraction is not None):
-        # Only the durable run carries a global budget to degrade against.
-        print("error: --degrade and --budget-fraction need --journal-dir", file=sys.stderr)
+    if args.journal_dir is None and args.budget_fraction is not None:
+        # Only the durable run carries a global budget.
+        print("error: --budget-fraction needs --journal-dir", file=sys.stderr)
         return 2
     cluster = sample_uniform_cluster(args.machines, seed=args.seed)
     requests = PoissonArrivals(args.rate, seed=args.seed + 1).generate(args.horizon)
@@ -483,19 +484,17 @@ def _run_online(args: argparse.Namespace) -> int:
 
     budget_fraction = 0.35 if args.budget_fraction is None else args.budget_fraction
     budget = budget_fraction * args.horizon * cluster.total_power
-    degradation = None
-    if args.degrade:
-        from .resilience.degrade import DegradationPolicy
-
-        degradation = DegradationPolicy.default()
-    report = planner.run_durable(
-        requests,
-        args.journal_dir,
-        energy_budget=budget,
-        degradation=degradation,
-        snapshot_every=args.snapshot_every,
-        meta={"seed": args.seed, "rate": args.rate, "horizon": args.horizon},
-    )
+    try:
+        report = planner.run_durable(
+            requests,
+            args.journal_dir,
+            energy_budget=budget,
+            snapshot_every=args.snapshot_every,
+            meta={"seed": args.seed, "rate": args.rate, "horizon": args.horizon},
+        )
+    except RecoveryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"served {report.n_requests} requests in {len(report.windows)} windows ({args.scheduler})")
     if report.replayed_windows:
         print(f"resumed interrupted run: {report.replayed_windows} windows replayed from the journal")
@@ -518,7 +517,6 @@ def _cmd_crashtest(args: argparse.Namespace) -> int:
         window_seconds=args.window,
         scheduler=args.scheduler,
         snapshot_every=args.snapshot_every,
-        degrade=not args.no_degrade,
     )
     result = run_crash_test(
         config,
@@ -1228,9 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_onl.add_argument("--scheduler", default="approx", help="planning method (see `schedulers`)")
     p_onl.add_argument("--seed", type=int, default=0)
     p_onl.add_argument(
-        "--degrade", action="store_true", help="apply the default degradation policy (needs --journal-dir)"
-    )
-    p_onl.add_argument(
         "--journal-dir",
         type=Path,
         default=None,
@@ -1252,7 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cra.add_argument("--window", type=float, default=2.0, help="planning window (s)")
     p_cra.add_argument("--scheduler", default="approx")
     p_cra.add_argument("--snapshot-every", type=int, default=2, help="snapshot every N windows")
-    p_cra.add_argument("--no-degrade", action="store_true", help="disable the degradation policy")
     p_cra.add_argument("--workdir", type=Path, default=None, help="keep campaign artifacts here")
     p_cra.add_argument("--verbose", "-v", action="store_true", help="print per-kill progress")
     p_cra.set_defaults(fn=_cmd_crashtest)
@@ -1319,10 +1313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.set_defaults(fn=_cmd_resilience)
 
     p_tel = sub.add_parser("telemetry", help="inspect a metrics file written by --metrics-out")
-    p_tel.add_argument("path", type=Path, help="metrics file (.jsonl/.csv/.prom)")
+    p_tel.add_argument("path", type=Path, help="metrics file (.jsonl/.prom)")
     p_tel.add_argument(
         "--format",
-        choices=("jsonl", "csv", "prometheus"),
+        choices=("jsonl", "prometheus"),
         default=None,
         help="override format detection by suffix",
     )
@@ -1342,7 +1336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trc.add_argument("--html", type=Path, default=None, metavar="PATH", help="write an HTML timeline here")
     p_trc.add_argument(
         "--format",
-        choices=("jsonl", "csv", "prometheus"),
+        choices=("jsonl", "prometheus"),
         default=None,
         help="override file-format detection by suffix",
     )
@@ -1351,7 +1345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo = sub.add_parser(
         "slo", help="evaluate SLO targets on a metrics file; replay a journal through the burn monitor"
     )
-    p_slo.add_argument("path", nargs="?", type=Path, default=None, help="metrics file (.jsonl/.csv/.prom)")
+    p_slo.add_argument("path", nargs="?", type=Path, default=None, help="metrics file (.jsonl/.prom)")
     p_slo.add_argument("--p99", type=float, default=None, metavar="SECONDS", help="p99 solve latency target")
     p_slo.add_argument("--accuracy-floor", type=float, default=None, metavar="ACC", help="mean accuracy floor")
     p_slo.add_argument(
@@ -1369,7 +1363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_slo.add_argument(
         "--format",
-        choices=("jsonl", "csv", "prometheus"),
+        choices=("jsonl", "prometheus"),
         default=None,
         help="override file-format detection by suffix",
     )

@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Union
 
 from ..algorithms.registry import make_scheduler
 from ..hardware import sample_uniform_cluster
-from ..resilience.degrade import DegradationPolicy
 from ..telemetry import get_collector
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive, require
@@ -53,7 +52,6 @@ class CrashTestConfig:
     budget_fraction: float = 0.35  #: B as a fraction of horizon × total power
     scheduler: str = "approx"
     snapshot_every: int = 2
-    degrade: bool = True  #: apply the default degradation policy
 
     def __post_init__(self) -> None:
         require(self.kills >= 1, f"kills must be >= 1, got {self.kills}")
@@ -161,7 +159,6 @@ def run_crash_test(
     cluster = sample_uniform_cluster(config.machines, seed=config.seed)
     requests = PoissonArrivals(config.rate, seed=config.seed + 1).generate(config.horizon)
     budget = config.budget_fraction * config.horizon * cluster.total_power
-    degradation = DegradationPolicy.default() if config.degrade else None
 
     def make_run(directory: Path) -> DurableRun:
         return DurableRun(
@@ -171,7 +168,6 @@ def run_crash_test(
             window_seconds=config.window_seconds,
             power_cap_fraction=config.power_cap_fraction,
             energy_budget=budget,
-            degradation=degradation,
             snapshot_every=config.snapshot_every,
             fsync="never",  # crashes are simulated by byte truncation
             meta={"seed": config.seed, "rate": config.rate, "horizon": config.horizon},

@@ -1,8 +1,7 @@
 """Append-only write-ahead event log (the serving stack's WAL).
 
 Every state change of a durable run — request arrivals, window plans,
-realised shares, failures, degradation-level changes, cumulative energy
-spend — is appended here *before* it takes effect, so a crash at any
+realised shares, failures, cumulative energy spend — is appended here *before* it takes effect, so a crash at any
 byte offset loses at most the record being written.
 
 Record framing

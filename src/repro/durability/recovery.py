@@ -3,9 +3,9 @@
 :func:`recover` rebuilds a durable run's state from its directory: load
 the newest usable snapshot (if any), then fold every journal record past
 it.  The result is exactly the state the process held when it last
-appended a record — realised windows, cumulative energy spend against
-the global budget ``B``, and the active degradation level — so a
-restarted run *continues* instead of silently forgetting spent joules.
+appended a record — realised windows and cumulative energy spend
+against the global budget ``B`` — so a restarted run *continues*
+instead of silently forgetting spent joules.
 
 :func:`audit` / :func:`certify` then check the recovered state against
 the invariants the paper's model guarantees for an uninterrupted run:
@@ -18,7 +18,7 @@ the invariants the paper's model guarantees for an uninterrupted run:
   missing;
 * within every window, tasks are deadline-ordered (the EDF prefix
   ordering all schedulers assume) and no task received more work than
-  its recorded work cap (the degradation policy's compression bound).
+  its recorded work cap (its accuracy curve's ``f_max``).
 
 Determinism is the contract that makes all this meaningful: a run
 resumed from ``recover()`` replays completed windows from the journal
@@ -50,7 +50,6 @@ class RecoveredState:
     meta: Dict[str, Any]  #: the run_start metadata (scheduler, seed, budget, ...)
     windows: tuple  #: committed window_done payloads, in window order
     energy_spent: float  #: cumulative realised energy (J), the budget's ledger
-    degrade_level: int  #: active degradation watermark index (−1: none)
     next_window: int  #: first window index the resumed run must plan
     counts: Dict[str, int] = field(default_factory=dict)  #: replayed events by type
     replayed_records: int = 0  #: journal records folded on top of the snapshot
@@ -75,14 +74,12 @@ def recover(directory: Union[str, Path]) -> RecoveredState:
     windows: List[Dict[str, Any]] = []
     meta: Dict[str, Any] = {}
     cum_energy = 0.0
-    level = -1
     base = 0
     if snapshot is not None:
         state = snapshot["state"]
         meta = dict(state.get("meta", {}))
         windows = [dict(w) for w in state.get("windows", [])]
         cum_energy = float(state.get("cum_energy", 0.0))
-        level = int(state.get("level", -1))
         base = int(snapshot["journal_records"])
 
     counts: Dict[str, int] = {}
@@ -98,9 +95,6 @@ def recover(directory: Union[str, Path]) -> RecoveredState:
                 seen.add(index)
                 windows.append(dict(event))
             cum_energy = float(event.get("cum_energy", cum_energy))
-            level = int(event.get("level", level))
-        elif kind == "degrade":
-            level = int(event.get("level", level))
         elif kind in ("solve", "energy"):
             cum_energy = float(event.get("cum_energy", cum_energy))
 
@@ -111,7 +105,6 @@ def recover(directory: Union[str, Path]) -> RecoveredState:
         meta=meta,
         windows=tuple(windows),
         energy_spent=cum_energy,
-        degrade_level=level,
         next_window=int(windows[-1]["window"]) + 1 if windows else 0,
         counts=counts,
         replayed_records=replayed,

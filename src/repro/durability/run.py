@@ -13,12 +13,17 @@ off:
    mid-solve leaves a plan without a commit, and the window is simply
    re-solved on resume;
 3. the realised shares, per-task work caps and cumulative energy spend
-   are journaled (``window_done``) — only then is the window *committed*;
-4. degradation-level changes are journaled (``degrade``) so a restarted
-   :class:`~repro.resilience.degrade.DegradationPolicy` resumes at the
-   right watermark instead of forgetting the spent budget.
+   are journaled (``window_done``) — only then is the window *committed*.
 
-A window costs two journal commits.  Its ``arrivals``, ``degrade`` and
+The global budget ``B`` is paced: window ``k`` of ``K`` is granted
+``min(cap, max(B − spent, 0) / (K − k))``, where ``cap`` is the
+power-cap grant and ``spent`` the committed spend before it.  The
+accuracy curves are concave in work, so an even spread of what is left
+beats spending early and starving the last windows.  ``K`` is journaled
+in the ``run_start`` metadata, and the spend is the recovered ledger,
+so a resumed run derives the same grants.
+
+A window costs two journal commits.  Its ``arrivals`` and
 ``window_plan`` records are one :meth:`JournalWriter.group
 <repro.durability.journal.JournalWriter.group>`, committed before the
 solve (nothing acts on them earlier); ``window_done`` is a lone append,
@@ -52,7 +57,7 @@ from ..core.machine import Cluster
 from ..core.serialization import cluster_to_dict
 from ..online.planner import on_time_count, window_instance
 from ..telemetry import get_collector
-from ..utils.errors import RecoveryError, ValidationError
+from ..utils.errors import RecoveryError
 from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request, window_batches
 from .journal import JournalWriter, encode_payload
@@ -74,7 +79,6 @@ class DurableWindow:
     on_time: int
     energy: float
     cum_energy: float  #: cumulative spend *after* this window (the ledger)
-    level: int  #: degradation level the window was planned at (−1: none)
     replayed: bool = False  #: restored from the journal rather than solved
     #: the ``window_done`` payload (canonical JSON) that committed the window
     record: bytes = field(default=b"", repr=False, compare=False)
@@ -94,7 +98,6 @@ class DurableWindow:
             self.on_time,
             self.energy,
             self.cum_energy,
-            self.level,
         )
 
     def same_outcome(self, other: "DurableWindow") -> bool:
@@ -158,10 +161,10 @@ class DurableRun:
     Parameters mirror :class:`~repro.online.planner.RollingHorizonPlanner`
     plus the global budget ledger, which only this loop carries:
     ``energy_budget`` caps cumulative spend across *all* windows (and
-    restarts — that is the point), ``degradation`` maps spend pressure
-    to compression/shedding, ``snapshot_every`` checkpoints state every
-    N committed windows, ``fsync`` selects the journal's durability
-    barrier (see :class:`~repro.durability.journal.JournalWriter`).
+    restarts — that is the point) and is paced evenly over the windows
+    left, ``snapshot_every`` checkpoints state every N committed
+    windows, ``fsync`` selects the journal's durability barrier (see
+    :class:`~repro.durability.journal.JournalWriter`).
     """
 
     def __init__(
@@ -173,7 +176,6 @@ class DurableRun:
         window_seconds: float = 2.0,
         power_cap_fraction: float = 0.5,
         energy_budget: Optional[float] = None,
-        degradation=None,
         snapshot_every: int = 5,
         fsync: str = "always",
         meta: Optional[Dict[str, Any]] = None,
@@ -183,57 +185,47 @@ class DurableRun:
         require(snapshot_every >= 1, f"snapshot_every must be >= 1, got {snapshot_every}")
         if energy_budget is not None:
             check_positive(energy_budget, "energy_budget")
-        if degradation is not None and energy_budget is None:
-            raise ValidationError("a degradation policy needs energy_budget to measure pressure against")
         self.cluster = cluster
         self.scheduler = scheduler
         self.journal_dir = Path(journal_dir)
         self.window_seconds = float(window_seconds)
         self.power_cap_fraction = float(power_cap_fraction)
         self.energy_budget = energy_budget
-        self.degradation = degradation
         self.snapshot_every = int(snapshot_every)
         self.fsync = fsync
         self.extra_meta = dict(meta or {})
 
     @property
     def window_budget(self) -> float:
-        """Energy grant (J) per window, before global-budget clipping."""
+        """Power-cap energy grant (J) per window, before global-budget pacing."""
         return self.power_cap_fraction * self.window_seconds * self.cluster.total_power
 
-    def _run_meta(self, n_requests: int) -> Dict[str, Any]:
+    def _run_meta(self, n_requests: int, n_windows: int) -> Dict[str, Any]:
         return {
             "scheduler": self.scheduler.name,
             "window_seconds": self.window_seconds,
             "power_cap_fraction": self.power_cap_fraction,
             "energy_budget": self.energy_budget,
             "n_requests": n_requests,
+            "windows": n_windows,
             "machines": cluster_to_dict(self.cluster),
-            "degradation": None if self.degradation is None else self.degradation.to_dict(),
             **self.extra_meta,
         }
 
-    def _check_meta(self, recovered: RecoveredState, n_requests: int) -> None:
+    @staticmethod
+    def _check_meta(recovered: RecoveredState, meta: Dict[str, Any]) -> None:
         """A resumed run must be the *same* run, or determinism is fiction.
 
-        Compared in journaled (JSON round-tripped) form, so the cluster and
-        degradation policy match their ``run_start`` copies exactly.
+        The whole ``run_start`` metadata is compared, in journaled (JSON
+        round-tripped) form, so the cluster and the caller's extra keys
+        match their journaled copies exactly.
         """
-        expected = json.loads(json.dumps(self._run_meta(n_requests)))
-        for key in (
-            "scheduler",
-            "window_seconds",
-            "power_cap_fraction",
-            "energy_budget",
-            "n_requests",
-            "machines",
-            "degradation",
-        ):
-            have = recovered.meta.get(key)
-            if have != expected[key]:
+        expected, have = json.loads(json.dumps(meta)), recovered.meta
+        for key in [*expected, *(k for k in have if k not in expected)]:
+            if have.get(key) != expected.get(key):
                 raise RecoveryError(
-                    f"journal was written by a different run: {key} is {have!r}, "
-                    f"this run has {expected[key]!r}"
+                    f"journal was written by a different run: {key} is {have.get(key)!r}, "
+                    f"this run has {expected.get(key)!r}"
                 )
 
     @staticmethod
@@ -248,7 +240,6 @@ class DurableRun:
             on_time=int(data["on_time"]),
             energy=float(data["energy"]),
             cum_energy=float(data["cum_energy"]),
-            level=int(data["level"]),
             replayed=replayed,
             record=record,
         )
@@ -257,22 +248,21 @@ class DurableRun:
         """Serve the stream durably; resumes automatically from a journal."""
         ordered = sorted(requests, key=lambda r: r.arrival_time)
         ids = {id(r): i for i, r in enumerate(ordered)}
+        batches = list(window_batches(ordered, self.window_seconds))
         tele = get_collector()
 
         with JournalWriter(self.journal_dir, fsync=self.fsync) as journal:
             store = SnapshotStore(self.journal_dir, fsync=self.fsync != "never")
             windows: List[DurableWindow] = []
             cum_energy = 0.0
-            level = -1
             next_window = 0
-            meta = self._run_meta(len(ordered))
+            meta = self._run_meta(len(ordered), len(batches))
 
             if journal.record_count > 0:
                 recovered = certify(recover(self.journal_dir), budget=self.energy_budget)
-                self._check_meta(recovered, len(ordered))
+                self._check_meta(recovered, meta)
                 windows = [self._window(w, replayed=True, record=encode_payload(w)) for w in recovered.windows]
                 cum_energy = recovered.energy_spent
-                level = recovered.degrade_level
                 next_window = recovered.next_window
                 journal.append(
                     {
@@ -286,18 +276,18 @@ class DurableRun:
             else:
                 journal.append({"type": "run_start", "meta": meta})
 
-            for index, (start, batch) in enumerate(window_batches(ordered, self.window_seconds)):
-                if index < next_window:
-                    continue  # committed before the crash; replayed above
-                _, window = self._plan_window(journal, index, start, batch, ids, cum_energy, level)
+            # Windows before next_window committed before the crash and were
+            # replayed above.
+            for index in range(next_window, len(batches)):
+                start, batch = batches[index]
+                _, window = self._plan_window(journal, index, start, batch, ids, cum_energy, len(batches) - index)
                 cum_energy = window.cum_energy
-                level = window.level
                 windows.append(window)
                 tele.counter("durable_windows_total").inc()
                 if (index + 1) % self.snapshot_every == 0:
                     # The state's canonical JSON, spliced: "windows" sorts
                     # after the other keys, and each window is its record.
-                    head = encode_payload({"cum_energy": cum_energy, "level": level, "meta": meta})
+                    head = encode_payload({"cum_energy": cum_energy, "meta": meta})
                     state = head[:-1] + b',"windows":[' + b",".join(w.record for w in windows) + b"]}"
                     store.save(state, journal_records=journal.record_count)
 
@@ -314,24 +304,20 @@ class DurableRun:
         batch: List[Request],
         ids: Dict[int, int],
         cum_energy: float,
-        previous_level: int,
+        windows_left: int,
     ):
         tele = get_collector()
         grant = self.window_budget
         if self.energy_budget is not None:
-            grant = min(grant, max(self.energy_budget - cum_energy, 0.0))
+            grant = min(grant, max(self.energy_budget - cum_energy, 0.0) / windows_left)
         order, instance = window_instance(batch, start, self.cluster, grant)
         ordered_ids = [ids[id(batch[i])] for i in order]
 
         # A window with no grant left is shed whole, but still committed
         # so the ledger stays contiguous across restarts.
         solve = grant > 0.0
-        level = previous_level
-        scale = 1.0
-        kept = np.arange(len(batch) if solve else 0)
-        solved = instance
-        # One commit for the pre-solve records: recovery acts on none of
-        # them, so they only need to be durable before the solve starts.
+        # One commit for the pre-solve records: recovery acts on neither
+        # of them, so they only need to be durable before the solve starts.
         with journal.group():
             journal.append(
                 {
@@ -344,46 +330,20 @@ class DurableRun:
                 }
             )
             if solve:
-                if self.degradation is not None:
-                    spent_fraction = cum_energy / self.energy_budget
-                    level = self.degradation.level_for(spent_fraction)
-                    if level != previous_level:
-                        journal.append(
-                            {
-                                "type": "degrade",
-                                "window": index,
-                                "level": level,
-                                "work_cap_scale": (
-                                    self.degradation.watermarks[level].work_cap_scale if level >= 0 else 1.0
-                                ),
-                            }
-                        )
-                    decision = self.degradation.apply(instance, spent_fraction)
-                    scale = decision.work_cap_scale
-                    solved, kept = decision.instance, decision.kept
                 journal.append(
-                    {
-                        "type": "window_plan",
-                        "window": index,
-                        "start": start,
-                        "ids": ordered_ids,
-                        "grant": grant,
-                        "level": level,
-                    }
+                    {"type": "window_plan", "window": index, "start": start, "ids": ordered_ids, "grant": grant}
                 )
 
         flops, accuracies = np.zeros(len(batch)), np.zeros(len(batch))
         on_time, energy = 0, 0.0
         if solve:
             with tele.span("durable.window.solve", window=str(index)):
-                schedule = self.scheduler.solve(solved)
-            flops[kept] = schedule.task_flops
-            accuracies[kept] = schedule.task_accuracies
-            on_time = on_time_count(schedule, solved.tasks.deadlines)
+                schedule = self.scheduler.solve(instance)
+            flops, accuracies = schedule.task_flops, schedule.task_accuracies
+            on_time = on_time_count(schedule, instance.tasks.deadlines)
             energy = float(schedule.total_energy)
         else:
             tele.counter("durable_exhausted_windows_total").inc()
-        planned = set(kept.tolist())
         done = {
             "type": "window_done",
             "window": index,
@@ -393,9 +353,8 @@ class DurableRun:
             "deadlines": instance.tasks.deadlines.tolist(),
             "flops": flops.tolist(),
             "accuracies": accuracies.tolist(),
-            "caps": (instance.tasks.f_max * scale).tolist(),
-            "shed": [rid for i, rid in enumerate(ordered_ids) if i not in planned],
-            "level": level,
+            "caps": instance.tasks.f_max.tolist(),
+            "shed": [] if solve else ordered_ids,
             "on_time": on_time,
             "energy": energy,
             "cum_energy": cum_energy + energy,

@@ -77,7 +77,7 @@ class SolveJournal:
                 # Under the same lock: the snapshot must capture a settled ledger.
                 assert self._snapshots is not None
                 self._snapshots.save(
-                    {"meta": self.meta, "windows": [], "cum_energy": self.energy_spent, "level": -1},
+                    {"meta": self.meta, "windows": [], "cum_energy": self.energy_spent},
                     journal_records=self._writer.record_count,
                 )
                 self._since_snapshot = 0

@@ -20,7 +20,7 @@ from 0.409 to 0.231 and its on-time share from 0.82 to 0.54.
 :class:`RollingHorizonPlanner` formalises the loop around any
 :class:`~repro.algorithms.base.Scheduler`; the ``mlaas_online_serving``
 example is a thin wrapper over it.  A global energy budget across
-windows (grant clipping, degradation, journal, resume) is
+windows (paced grants, journal, resume) is
 :meth:`RollingHorizonPlanner.run_durable`; execution under machine
 failures, with or without replanning, is the simulator's.
 """
@@ -194,7 +194,6 @@ class RollingHorizonPlanner:
         journal_dir,
         *,
         energy_budget: Optional[float] = None,
-        degradation=None,
         snapshot_every: int = 5,
         fsync: str = "always",
         meta: Optional[dict] = None,
@@ -207,7 +206,9 @@ class RollingHorizonPlanner:
         and a journal left behind by a crashed run is recovered,
         certified against ``energy_budget`` and *continued* — committed
         windows replay from the log, the rest are re-solved
-        deterministically.  Returns a
+        deterministically.  ``energy_budget`` is paced: each window is
+        granted an even share of what is left, capped at
+        :attr:`window_budget`.  Returns a
         :class:`~repro.durability.run.DurableReport`.
         """
         from ..durability.run import DurableRun
@@ -219,7 +220,6 @@ class RollingHorizonPlanner:
             window_seconds=self.window_seconds,
             power_cap_fraction=self.power_cap_fraction,
             energy_budget=energy_budget,
-            degradation=degradation,
             snapshot_every=snapshot_every,
             fsync=fsync,
             meta=meta,

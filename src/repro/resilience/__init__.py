@@ -1,4 +1,4 @@
-"""Fault-tolerant serving: fallback chains, degradation, admission.
+"""Fault-tolerant serving: fallback chains and admission.
 
 The paper's schedules assume machines never fail and solvers always
 return in time.  This subsystem gives the runtime paths a resilience
@@ -7,9 +7,6 @@ layer:
 * :mod:`~repro.resilience.fallback` — :class:`FallbackChain` runs
   solvers under wall-clock deadlines and degrades MIP → LP → approx →
   greedy on timeout or error, recording the served tier in telemetry;
-* :mod:`~repro.resilience.degrade` — :class:`DegradationPolicy` maps
-  energy pressure (budget-fraction watermarks) to tightened per-task
-  work caps and, in extremis, shedding of the lowest-θ tasks;
 * :mod:`~repro.resilience.admission` — :class:`AdmissionController`
   bounds the server's in-flight solves and trips a circuit breaker
   (503 + ``Retry-After``) when the fallback chain keeps failing.
@@ -22,14 +19,6 @@ resilience``).
 """
 
 from .admission import AdmissionController, AdmissionDecision, BreakerState, CircuitBreaker
-from .degrade import (
-    DegradationPolicy,
-    DegradeDecision,
-    Watermark,
-    cap_work,
-    expand_times,
-    truncate_accuracy,
-)
 from .fallback import DEFAULT_TIERS, FallbackChain, FallbackTier, run_with_deadline
 
 __all__ = [
@@ -37,12 +26,6 @@ __all__ = [
     "FallbackTier",
     "DEFAULT_TIERS",
     "run_with_deadline",
-    "Watermark",
-    "DegradationPolicy",
-    "DegradeDecision",
-    "truncate_accuracy",
-    "cap_work",
-    "expand_times",
     "AdmissionController",
     "AdmissionDecision",
     "CircuitBreaker",

@@ -26,8 +26,8 @@ outage destroyed are re-buffered into the next planning window, and
 planning only targets surviving machines at their effective speeds (the
 stale-plan baseline, ``replan=False``, keeps planning onto dead machines
 and loses that work).  Every window is granted the same
-power-cap budget; a global budget across windows, with degradation,
-journal and resume, is :class:`~repro.durability.run.DurableRun`'s.
+power-cap budget; a global budget across windows, paced over them,
+with journal and resume, is :class:`~repro.durability.run.DurableRun`'s.
 
 This is the library's end-to-end substrate for the MLaaS serving story
 the paper motivates in its introduction.

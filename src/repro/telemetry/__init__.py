@@ -7,7 +7,7 @@ The measurement substrate the perf/scaling work reports against:
 * :func:`collector` / :func:`get_collector` — context-local activation
   with a shared no-op default, so uninstrumented runs pay (almost)
   nothing;
-* exporters — JSON-lines, CSV and Prometheus text, each with a parser
+* exporters — JSON-lines and Prometheus text, each with a parser
   (:func:`load_file`) for round-tripping and offline inspection.
 
 Quick start::
@@ -29,9 +29,7 @@ from .exporters import (
     load_file,
     parse_prometheus,
     prometheus_text,
-    read_csv,
     read_jsonl,
-    write_csv,
     write_jsonl,
     write_prometheus,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "NOOP",
     "write_jsonl",
     "read_jsonl",
-    "write_csv",
-    "read_csv",
     "write_prometheus",
     "prometheus_text",
     "parse_prometheus",

@@ -1,6 +1,6 @@
-"""Serialize a metrics registry — JSON-lines, CSV, Prometheus text.
+"""Serialize a metrics registry — JSON-lines and Prometheus text.
 
-All three exporters work from the plain-data
+Both exporters work from the plain-data
 :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` shape and
 each has a matching parser, so a written file reads back to the same
 snapshot (Prometheus, a metrics-only wire format, round-trips every
@@ -18,14 +18,12 @@ Format is normally inferred from the file suffix via
 suffix                    format
 ========================  ==========
 ``.jsonl`` / ``.json``    JSON-lines
-``.csv``                  CSV
 ``.prom`` / ``.txt``      Prometheus
 ========================  ==========
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -39,8 +37,6 @@ from .registry import MetricsRegistry, TelemetryError
 __all__ = [
     "write_jsonl",
     "read_jsonl",
-    "write_csv",
-    "read_csv",
     "write_prometheus",
     "parse_prometheus",
     "export_file",
@@ -49,27 +45,6 @@ __all__ = [
 ]
 
 Snapshot = Dict[str, list]
-
-_CSV_COLUMNS = [
-    "kind",
-    "name",
-    "labels",
-    "value",
-    "count",
-    "sum",
-    "min",
-    "max",
-    "buckets",
-    "bucket_counts",
-    "exemplar",
-    "span_id",
-    "parent_id",
-    "depth",
-    "start",
-    "duration",
-    "wall_start",
-    "trace_id",
-]
 
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _PROM_LINE_RE = re.compile(r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$")
@@ -116,88 +91,6 @@ def read_jsonl(path: Union[str, Path]) -> Snapshot:
             entry.pop("kind")
             spans.append(entry)
         else:
-            metrics.append(entry)
-    return {"metrics": metrics, "spans": spans}
-
-
-# -- CSV -------------------------------------------------------------------------
-
-
-def write_csv(source: Union[MetricsRegistry, Snapshot], path: Union[str, Path]) -> Path:
-    """Wide CSV: one row per series/span, JSON-encoded structured cells."""
-    snap = _snap(source)
-    with io.StringIO(newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-        writer.writeheader()
-        for entry in snap["metrics"]:
-            row = {k: entry[k] for k in ("kind", "name") }
-            row["labels"] = json.dumps(entry["labels"], sort_keys=True)
-            for key in ("value", "count", "sum", "min", "max"):
-                if key in entry:
-                    row[key] = repr(entry[key])
-            for key in ("buckets", "bucket_counts", "exemplar"):
-                if key in entry:
-                    row[key] = json.dumps(entry[key], sort_keys=True)
-            writer.writerow(row)
-        for span in snap["spans"]:
-            writer.writerow(
-                {
-                    "kind": "span",
-                    "name": span["name"],
-                    "labels": json.dumps(span["labels"], sort_keys=True),
-                    "span_id": span["span_id"],
-                    "parent_id": "" if span["parent_id"] is None else span["parent_id"],
-                    "depth": span["depth"],
-                    "start": repr(span["start"]),
-                    "duration": "" if span["duration"] is None else repr(span["duration"]),
-                    "wall_start": repr(span.get("wall_start", 0.0)),
-                    "trace_id": span.get("trace_id") or "",
-                }
-            )
-        return atomic_write(path, fh.getvalue())
-
-
-def _num(text: str) -> float:
-    return float(text)
-
-
-def read_csv(path: Union[str, Path]) -> Snapshot:
-    """Parse a CSV export back into a snapshot."""
-    metrics: List[dict] = []
-    spans: List[dict] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels = json.loads(row["labels"]) if row.get("labels") else {}
-            if row["kind"] == "span":
-                spans.append(
-                    {
-                        "span_id": int(row["span_id"]),
-                        "parent_id": int(row["parent_id"]) if row["parent_id"] else None,
-                        "name": row["name"],
-                        "depth": int(row["depth"]),
-                        "start": _num(row["start"]),
-                        "duration": _num(row["duration"]) if row["duration"] else None,
-                        "labels": labels,
-                        # Columns added later; absent in older exports.
-                        "wall_start": _num(row["wall_start"]) if row.get("wall_start") else 0.0,
-                        "trace_id": row.get("trace_id") or None,
-                    }
-                )
-                continue
-            entry: dict = {"kind": row["kind"], "name": row["name"], "labels": labels}
-            if row["kind"] == "histogram":
-                entry["buckets"] = json.loads(row["buckets"])
-                entry["bucket_counts"] = json.loads(row["bucket_counts"])
-                entry["count"] = int(row["count"])
-                entry["sum"] = _num(row["sum"])
-                if row.get("min"):
-                    entry["min"] = _num(row["min"])
-                if row.get("max"):
-                    entry["max"] = _num(row["max"])
-                if row.get("exemplar"):
-                    entry["exemplar"] = json.loads(row["exemplar"])
-            else:
-                entry["value"] = _num(row["value"])
             metrics.append(entry)
     return {"metrics": metrics, "spans": spans}
 
@@ -382,7 +275,6 @@ def parse_prometheus(path_or_text: Union[str, Path]) -> Snapshot:
 _FORMATS = {
     ".jsonl": "jsonl",
     ".json": "jsonl",
-    ".csv": "csv",
     ".prom": "prometheus",
     ".txt": "prometheus",
     ".prometheus": "prometheus",
@@ -401,8 +293,6 @@ def export_file(
     fmt = format or detect_format(path)
     if fmt == "jsonl":
         return write_jsonl(source, path)
-    if fmt == "csv":
-        return write_csv(source, path)
     if fmt == "prometheus":
         return write_prometheus(source, path)
     raise TelemetryError(f"unknown telemetry export format {fmt!r}")
@@ -413,8 +303,6 @@ def load_file(path: Union[str, Path], format: Optional[str] = None) -> Snapshot:
     fmt = format or detect_format(path)
     if fmt == "jsonl":
         return read_jsonl(path)
-    if fmt == "csv":
-        return read_csv(path)
     if fmt == "prometheus":
         return parse_prometheus(Path(path))
     raise TelemetryError(f"unknown telemetry export format {fmt!r}")

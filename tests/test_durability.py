@@ -29,7 +29,6 @@ from repro.durability import (
 )
 from repro.hardware import sample_uniform_cluster
 from repro.online.planner import RollingHorizonPlanner, window_instance
-from repro.resilience.degrade import DegradationPolicy
 from repro.telemetry import MetricsRegistry, collector
 from repro.utils import atomic_write
 from repro.utils.errors import JournalCorruptError, RecoveryError, ValidationError
@@ -48,14 +47,12 @@ def requests():
     return PoissonArrivals(6.0, seed=1).generate(8.0)
 
 
-def make_durable(cluster, journal_dir, *, budget=None, degrade=False, **kwargs):
-    degradation = DegradationPolicy.default() if degrade else None
+def make_durable(cluster, journal_dir, *, budget=None, **kwargs):
     return DurableRun(
         cluster,
         make_scheduler("approx"),
         journal_dir,
         energy_budget=budget,
-        degradation=degradation,
         snapshot_every=kwargs.pop("snapshot_every", 2),
         fsync="never",
         **kwargs,
@@ -284,13 +281,11 @@ class TestRecovery:
     def test_folds_events(self, tmp_path):
         with JournalWriter(tmp_path, fsync="never") as journal:
             journal.append({"type": "run_start", "meta": {"energy_budget": 10.0}})
-            journal.append({"type": "window_done", "window": 0, "start": 0.0, "energy": 3.0, "cum_energy": 3.0, "level": -1})
-            journal.append({"type": "degrade", "level": 1})
-            journal.append({"type": "window_done", "window": 1, "start": 2.0, "energy": 4.0, "cum_energy": 7.0, "level": 1})
+            journal.append({"type": "window_done", "window": 0, "start": 0.0, "energy": 3.0, "cum_energy": 3.0})
+            journal.append({"type": "window_done", "window": 1, "start": 2.0, "energy": 4.0, "cum_energy": 7.0})
         state = recover(tmp_path)
         assert state.meta["energy_budget"] == 10.0
         assert state.energy_spent == 7.0
-        assert state.degrade_level == 1
         assert state.next_window == 2
         certify(state)
 
@@ -307,7 +302,7 @@ class TestRecovery:
             journal.append({"type": "run_start", "meta": {}})
             journal.append({"type": "window_done", "window": 0, "start": 0.0, "energy": 1.0, "cum_energy": 1.0})
             SnapshotStore(tmp_path, fsync=False).save(
-                {"meta": {}, "windows": [{"window": 0, "energy": 1.0, "cum_energy": 1.0}], "cum_energy": 1.0, "level": -1},
+                {"meta": {}, "windows": [{"window": 0, "energy": 1.0, "cum_energy": 1.0}], "cum_energy": 1.0},
                 journal_records=journal.record_count,
             )
             journal.append({"type": "window_done", "window": 1, "start": 2.0, "energy": 2.0, "cum_energy": 3.0})
@@ -341,7 +336,7 @@ class TestRecovery:
 class TestDurableRun:
     def test_fresh_run_serves_and_journals(self, cluster, requests, tmp_path):
         budget = 0.35 * 8.0 * cluster.total_power
-        report = make_durable(cluster, tmp_path, budget=budget, degrade=True).run(requests)
+        report = make_durable(cluster, tmp_path, budget=budget).run(requests)
         assert report.n_requests == len(requests)
         assert report.total_energy <= budget * (1 + 1e-9)
         assert report.replayed_windows == 0
@@ -357,12 +352,12 @@ class TestDurableRun:
     def test_resume_after_truncation_is_bit_identical(self, cluster, requests, tmp_path):
         budget = 0.35 * 8.0 * cluster.total_power
         ref_dir, cut_dir = tmp_path / "ref", tmp_path / "cut"
-        reference = make_durable(cluster, ref_dir, budget=budget, degrade=True).run(requests)
+        reference = make_durable(cluster, ref_dir, budget=budget).run(requests)
         # Crash halfway through the journal: later segments vanish too.
         cut_dir.mkdir()
         stream = b"".join(p.read_bytes() for p in journal_segments(ref_dir))
         (cut_dir / "wal-00000000.log").write_bytes(stream[: len(stream) // 2])
-        resumed = make_durable(cluster, cut_dir, budget=budget, degrade=True).run(requests)
+        resumed = make_durable(cluster, cut_dir, budget=budget).run(requests)
         assert resumed.same_outcome(reference)
         assert 0 < resumed.replayed_windows < len(resumed.windows)
 
@@ -374,25 +369,88 @@ class TestDurableRun:
         with pytest.raises(RecoveryError, match="different run"):
             other.run(requests)
 
-    @pytest.mark.parametrize("changed, machines, degrade", [("machines", 6, True), ("degradation", 3, False)])
-    def test_resume_refuses_another_cluster_or_policy(self, cluster, requests, tmp_path, changed, machines, degrade):
+    @pytest.mark.parametrize("changed", ["machines", "rate"])
+    def test_resume_refuses_another_cluster_or_meta(self, cluster, requests, tmp_path, changed):
         budget = 0.35 * 8.0 * cluster.total_power
-        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, meta={"rate": 6.0}).run(requests)
         stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
         (tmp_path / "cut").mkdir()
         (tmp_path / "cut" / "wal-00000000.log").write_bytes(stream[: len(stream) // 3])
         assert recover(tmp_path / "cut").next_window < len(reference.windows)
-        other = sample_uniform_cluster(machines, seed=0)  # the fixture's cluster has 3
-        resumed = make_durable(other, tmp_path / "cut", budget=budget, degrade=degrade)
+        if changed == "machines":
+            other = sample_uniform_cluster(6, seed=0)  # the fixture's cluster has 3
+            resumed = make_durable(other, tmp_path / "cut", budget=budget, meta={"rate": 6.0})
+        else:
+            resumed = make_durable(cluster, tmp_path / "cut", budget=budget, meta={"rate": 6.001})
         with pytest.raises(RecoveryError, match=f"different run: {changed}"):
             resumed.run(requests)
 
-    def test_exhausted_budget_sheds_whole_windows(self, cluster, requests, tmp_path):
+    def test_grants_pace_a_binding_budget(self, cluster, requests, tmp_path):
+        budget = 0.35 * 8.0 * cluster.total_power
+        run = make_durable(cluster, tmp_path, budget=budget)
+        report = run.run(requests)
+        events = read_events(tmp_path)
+        n_windows = events[0]["meta"]["windows"]
+        assert n_windows == len(report.windows)
+        spent = 0.0
+        grants = []
+        for event in events:
+            if event["type"] == "window_plan":
+                left = n_windows - event["window"]
+                assert event["grant"] == min(run.window_budget, (budget - spent) / left)
+                grants.append(event["grant"])
+            elif event["type"] == "window_done":
+                spent = event["cum_energy"]
+        assert len(grants) == n_windows and max(grants) < run.window_budget  # the budget binds
+        assert report.total_energy <= budget * (1 + 1e-9)
+        certify(recover(tmp_path), budget=budget)
+
+    @pytest.mark.parametrize("slack", [1.0, 2.0])
+    def test_ample_budget_plans_as_no_budget(self, cluster, requests, tmp_path, slack):
+        capped = make_durable(cluster, tmp_path / "capped").run(requests)
+        budget = slack * make_durable(cluster, tmp_path).window_budget * len(capped.windows)
+        paced = make_durable(cluster, tmp_path / "paced", budget=budget).run(requests)
+        assert paced.same_outcome(capped)
+
+    def test_starvation_budget_is_paced_over_windows(self, cluster, requests, tmp_path):
         budget = 0.05 * 8.0 * cluster.total_power  # starvation budget
         report = make_durable(cluster, tmp_path, budget=budget).run(requests)
+        grants = [e["grant"] for e in read_events(tmp_path) if e["type"] == "window_plan"]
+        # Every window solves, on an even share of the budget.
+        assert len(grants) == len(report.windows) == 4
+        assert grants == pytest.approx([budget / 4] * 4, rel=1e-12)
+        assert all(w.energy > 0.0 for w in report.windows)
         assert report.total_energy <= budget * (1 + 1e-9)
-        assert any(w.energy == 0.0 for w in report.windows)
         certify(recover(tmp_path), budget=budget)
+
+    def test_parent_format_journal_recovers_but_refuses_resume(self, cluster, requests, tmp_path):
+        """A journal of the watermark-ladder era: ``degrade`` records, ``level`` fields."""
+        budget = 0.35 * 8.0 * cluster.total_power
+        make_durable(cluster, tmp_path / "ref", budget=budget).run(requests)
+        legacy = []
+        for event in read_events(tmp_path / "ref"):
+            event = {k: v for k, v in event.items() if k != "trace_id"}
+            if event["type"] == "run_start":
+                meta = {k: v for k, v in event["meta"].items() if k != "windows"}
+                event["meta"] = {**meta, "degradation": {"watermarks": [{"budget_fraction": 0.7}]}}
+            elif event["type"] in ("window_plan", "window_done"):
+                event["level"] = -1 if event["window"] < 2 else 0
+            if event["type"] == "arrivals" and event["window"] == 2:
+                legacy.append({"type": "degrade", "window": 2, "level": 0, "work_cap_scale": 0.75})
+            legacy.append(event)
+        dones = [i for i, e in enumerate(legacy) if e["type"] == "window_done"]
+        journal_dir = tmp_path / "legacy"
+        journal_dir.mkdir()
+        (journal_dir / "wal-00000001.log").write_bytes(b"".join(encode_record(e) for e in legacy))
+        # A snapshot of the first two windows, with the old state's level.
+        state = {"meta": legacy[0]["meta"], "windows": [legacy[i] for i in dones[:2]], "level": -1}
+        state["cum_energy"] = state["windows"][-1]["cum_energy"]
+        SnapshotStore(journal_dir, fsync=False).save(state, journal_records=dones[1] + 1)
+
+        state = certify(recover(journal_dir), budget=budget)
+        assert state.used_snapshot and state.counts["degrade"] == 1 and state.next_window == 4
+        with pytest.raises(RecoveryError, match="different run: windows"):
+            make_durable(cluster, journal_dir, budget=budget).run(requests)
 
     def test_planner_run_durable_delegates(self, cluster, requests, tmp_path):
         planner = RollingHorizonPlanner(cluster, make_scheduler("approx"))
@@ -408,50 +466,27 @@ class TestDurableWindowCommits:
         assert len(requests) == n
         return requests
 
-    @pytest.mark.parametrize("degrade", [False, True])
-    def test_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs, degrade):
+    def test_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs):
         requests = self.one_window()
         budget = 0.35 * 8.0 * cluster.total_power
-        run = DurableRun(
-            cluster,
-            make_scheduler("approx"),
-            tmp_path,
-            energy_budget=budget,
-            degradation=DegradationPolicy.default() if degrade else None,
-            fsync="always",
-        )
+        run = DurableRun(cluster, make_scheduler("approx"), tmp_path, energy_budget=budget, fsync="always")
         ids = {id(r): i for i, r in enumerate(requests)}
         registry = MetricsRegistry()
         with JournalWriter(tmp_path, fsync="always") as journal:
             before = len(fsyncs)
-            # 80% of the budget spent crosses the first watermark, so the
-            # degrade record joins the window's group.
-            spent = 0.8 * budget if degrade else 0.0
             with collector(registry):
-                _, window = run._plan_window(journal, 0, 0.0, requests, ids, spent, -1)
+                run._plan_window(journal, 0, 0.0, requests, ids, 0.0, 4)
             assert len(fsyncs) - before == 2
-            assert window.level == (0 if degrade else -1)
-        records = 3 + (1 if degrade else 0)
         assert registry.counter("journal_syncs_total").value == 2
         assert registry.get("journal_sync_seconds").count == 2
-        assert registry.counter("journal_records_total").value == records
+        assert registry.counter("journal_records_total").value == 3
         kinds = [e["type"] for e in read_events(tmp_path)]
-        assert kinds == ["arrivals"] + (["degrade"] if degrade else []) + [
-            "window_plan",
-            "window_done",
-        ]
+        assert kinds == ["arrivals", "window_plan", "window_done"]
 
     def test_exhausted_window_costs_two_fsyncs(self, cluster, tmp_path, fsyncs):
         requests = self.one_window()
         budget = 1.0
-        run = DurableRun(
-            cluster,
-            make_scheduler("approx"),
-            tmp_path,
-            energy_budget=budget,
-            degradation=DegradationPolicy.default(),
-            fsync="always",
-        )
+        run = DurableRun(cluster, make_scheduler("approx"), tmp_path, energy_budget=budget, fsync="always")
         ids = {id(r): i for i, r in enumerate(requests)}
         with JournalWriter(tmp_path, fsync="always") as journal:
             before = len(fsyncs)
@@ -460,21 +495,21 @@ class TestDurableWindowCommits:
         events = read_events(tmp_path)
         assert [e["type"] for e in events] == ["arrivals", "window_done"]
         assert {k: v for k, v in events[-1].items() if k != "trace_id"} == done
-        # Nothing planned, nothing spent, the degradation level kept.
+        # Nothing planned, nothing spent.
         n = len(requests)
         _, instance = window_instance(requests, 0.0, cluster, 0.0)
         assert done["flops"] == done["accuracies"] == [0.0] * n
         assert sorted(done["ids"]) == list(range(n)) and done["shed"] == done["ids"]
         assert done["caps"] == instance.tasks.f_max.tolist()
         assert done["deadlines"] == instance.tasks.deadlines.tolist()
-        assert (done["on_time"], done["energy"], done["cum_energy"], done["level"]) == (0, 0.0, budget, 2)
-        assert (window.cum_energy, window.level) == (budget, 2)
+        assert (done["on_time"], done["energy"], done["cum_energy"]) == (0, 0.0, budget)
+        assert window.cum_energy == budget
 
     def test_truncation_inside_a_grouped_window_recovers_the_committed_prefix(
         self, cluster, requests, tmp_path
     ):
         budget = 0.35 * 8.0 * cluster.total_power
-        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget).run(requests)
         stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
         events, consumed = decode_stream(stream)
         assert consumed == len(stream)
@@ -498,7 +533,7 @@ class TestDurableWindowCommits:
             resume_dir = tmp_path / f"resume-{offset}"
             resume_dir.mkdir()
             (resume_dir / "wal-00000001.log").write_bytes(stream[:offset])
-            resumed = make_durable(cluster, resume_dir, budget=budget, degrade=True).run(requests)
+            resumed = make_durable(cluster, resume_dir, budget=budget).run(requests)
             assert resumed.same_outcome(reference)
             assert resumed.replayed_windows == 1
 
@@ -534,14 +569,14 @@ class TestEncodedWindowRecords:
             return path
 
         monkeypatch.setattr(SnapshotStore, "save", capture)
-        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True, snapshot_every=1).run(
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget, snapshot_every=1).run(
             requests
         )
         # A resumed run re-encodes the windows it recovered.
         stream = b"".join(p.read_bytes() for p in journal_segments(tmp_path / "ref"))
         (tmp_path / "cut").mkdir()
         (tmp_path / "cut" / "wal-00000001.log").write_bytes(stream[: len(stream) // 2])
-        resumed = make_durable(cluster, tmp_path / "cut", budget=budget, degrade=True, snapshot_every=1).run(
+        resumed = make_durable(cluster, tmp_path / "cut", budget=budget, snapshot_every=1).run(
             requests
         )
         assert resumed.same_outcome(reference) and resumed.replayed_windows > 0
@@ -553,11 +588,10 @@ class TestEncodedWindowRecords:
             state = document["state"]
             assert state["windows"] == dones[: len(state["windows"])]
             assert state["cum_energy"] == state["windows"][-1]["cum_energy"]
-            assert state["level"] == state["windows"][-1]["level"]
             assert state["meta"]["n_requests"] == len(requests)
 
     def test_recover_gives_the_same_windows_without_the_snapshots(self, cluster, requests, budget, tmp_path):
-        make_durable(cluster, tmp_path / "run", budget=budget, degrade=True).run(requests)
+        make_durable(cluster, tmp_path / "run", budget=budget).run(requests)
         bare = tmp_path / "bare"
         bare.mkdir()
         for segment in journal_segments(tmp_path / "run"):
@@ -565,16 +599,12 @@ class TestEncodedWindowRecords:
         snapshotted, replayed = recover(tmp_path / "run"), recover(bare)
         assert snapshotted.used_snapshot and not replayed.used_snapshot
         assert snapshotted.windows == replayed.windows
-        assert (snapshotted.energy_spent, snapshotted.degrade_level, snapshotted.next_window) == (
-            replayed.energy_spent,
-            replayed.degrade_level,
-            replayed.next_window,
-        )
+        assert (snapshotted.energy_spent, snapshotted.next_window) == (replayed.energy_spent, replayed.next_window)
 
     def test_journal_with_per_request_arrival_records_recovers_and_resumes(
         self, cluster, requests, budget, tmp_path
     ):
-        reference = make_durable(cluster, tmp_path / "ref", budget=budget, degrade=True).run(requests)
+        reference = make_durable(cluster, tmp_path / "ref", budget=budget).run(requests)
         legacy = per_request_arrivals(read_events(tmp_path / "ref"))
         dones = [i for i, e in enumerate(legacy) if e["type"] == "window_done"]
         # Three committed windows, the first two also in a snapshot
@@ -591,7 +621,6 @@ class TestEncodedWindowRecords:
                 "meta": legacy[0]["meta"],
                 "windows": [legacy[i] for i in dones[:2]],
                 "cum_energy": last["cum_energy"],
-                "level": last["level"],
             },
         }
         (journal_dir / "snapshot-00000001.json").write_text(json.dumps(document, sort_keys=True))
@@ -600,7 +629,7 @@ class TestEncodedWindowRecords:
         assert state.used_snapshot and state.next_window == 3
         assert state.counts["arrival"] > 1 and "arrivals" not in state.counts
         assert state.energy_spent == reference.windows[2].cum_energy
-        resumed = make_durable(cluster, journal_dir, budget=budget, degrade=True).run(requests)
+        resumed = make_durable(cluster, journal_dir, budget=budget).run(requests)
         assert resumed.same_outcome(reference) and resumed.replayed_windows == 3
         certify(recover(journal_dir), budget=budget)
 
@@ -686,10 +715,10 @@ class TestAtomicWrite:
 
         registry = MetricsRegistry()
         registry.counter("x").inc()
-        for suffix in ("jsonl", "csv", "prom"):
+        for suffix in ("jsonl", "prom"):
             path = export_file(registry, tmp_path / f"m.{suffix}")
             assert path.exists()
-        assert len(list(tmp_path.iterdir())) == 3
+        assert len(list(tmp_path.iterdir())) == 2
 
 
 # -- the CLI ---------------------------------------------------------------------
@@ -706,7 +735,7 @@ class TestDurabilityCLI:
     def test_online_durable_and_resume(self, capsys, tmp_path):
         from repro.cli import main
 
-        args = ["online", "--horizon", "6", "--rate", "5", "--journal-dir", str(tmp_path), "--degrade"]
+        args = ["online", "--horizon", "6", "--rate", "5", "--journal-dir", str(tmp_path)]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "journal at" in first
@@ -715,13 +744,24 @@ class TestDurabilityCLI:
         assert "resumed interrupted run" in second
 
     @pytest.mark.parametrize(
-        "flags", [["--degrade"], ["--budget-fraction", "0.01"], ["--degrade", "--budget-fraction", "0.01"]]
+        "flags, key", [(["--rate", "6.001"], "rate"), (["--rate", "6", "--budget-fraction", "0.5"], "energy_budget")]
     )
-    def test_online_budget_flags_need_journal_dir(self, capsys, flags):
-        """Only the durable run has a global budget; a plain run must not drop the flags."""
+    def test_online_resume_of_another_run_is_an_error(self, capsys, tmp_path, flags, key):
         from repro.cli import main
 
-        assert main(["online", "--horizon", "12", "--rate", "6", *flags]) == 2
+        args = ["online", "--horizon", "12", "--journal-dir", str(tmp_path)]
+        assert main([*args, "--rate", "6"]) == 0
+        capsys.readouterr()
+        assert main([*args, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: journal was written by a different run: {key} is ")
+        assert "Traceback" not in captured.err and "served" not in captured.out
+
+    def test_online_budget_fraction_needs_journal_dir(self, capsys):
+        """Only the durable run has a global budget; a plain run must not drop the flag."""
+        from repro.cli import main
+
+        assert main(["online", "--horizon", "12", "--rate", "6", "--budget-fraction", "0.01"]) == 2
         captured = capsys.readouterr()
         assert "--journal-dir" in captured.err
         assert "served" not in captured.out

@@ -171,7 +171,7 @@ class TestTraceEvents:
 
 
 class TestExporterRoundTrip:
-    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_trace_survives_export(self, tmp_path, suffix):
         reg = traced_registry("cafe1234cafe1234")
         path = export_file(reg, tmp_path / f"metrics{suffix}")

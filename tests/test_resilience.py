@@ -1,4 +1,4 @@
-"""Fault-tolerant serving: fallback chains, replanning, degradation, admission."""
+"""Fault-tolerant serving: fallback chains, replanning, admission."""
 
 import contextlib
 import json
@@ -7,7 +7,6 @@ import time
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.algorithms import ApproxScheduler
@@ -19,13 +18,9 @@ from repro.resilience import (
     AdmissionController,
     BreakerState,
     CircuitBreaker,
-    DegradationPolicy,
     FallbackChain,
     FallbackTier,
-    Watermark,
-    expand_times,
     run_with_deadline,
-    truncate_accuracy,
 )
 from repro.server import make_server
 from repro.simulator.failures import (
@@ -214,78 +209,6 @@ class TestFallbackChain:
         result = chain.solve_with_info(inst)
         assert time.perf_counter() - start < 10.0
         assert result.info.extra["tier"] == "approx"
-
-
-# -- graceful degradation ------------------------------------------------------
-
-
-class TestTruncateAccuracy:
-    def test_cap_beyond_fmax_is_identity(self):
-        acc = make_instance(n=2, m=1, beta=0.5, seed=730).tasks[0].accuracy
-        assert truncate_accuracy(acc, acc.f_max * 2) is acc
-
-    def test_capped_curve_agrees_below_cap(self):
-        acc = make_instance(n=2, m=1, beta=0.5, seed=731).tasks[0].accuracy
-        cap = 0.6 * acc.f_max
-        cut = truncate_accuracy(acc, cap)
-        assert cut.f_max == pytest.approx(cap)
-        for frac in (0.1, 0.5, 0.99):
-            assert cut.value(frac * cap) == pytest.approx(acc.value(frac * cap), rel=1e-9)
-        # beyond the cap the curve is flat at the cap value
-        assert cut.value(acc.f_max) == pytest.approx(acc.value(cap), rel=1e-9)
-
-
-class TestDegradationPolicy:
-    def test_levels(self):
-        policy = DegradationPolicy.default()
-        assert policy.level_for(0.0) == -1
-        assert policy.level_for(0.70) == 0
-        assert policy.level_for(0.90) == 1
-        assert policy.level_for(1.50) == 2
-
-    def test_no_pressure_no_change(self):
-        inst = make_instance(n=8, m=2, beta=0.5, seed=732)
-        decision = DegradationPolicy.default().apply(inst, 0.1)
-        assert not decision.degraded
-        assert decision.instance is inst
-        assert len(decision.kept) == inst.n_tasks
-
-    def test_watermark_caps_work(self):
-        inst = make_instance(n=8, m=2, beta=0.5, seed=733)
-        decision = DegradationPolicy.default().apply(inst, 0.75)
-        assert decision.level == 0 and decision.work_cap_scale == 0.75
-        for original, degraded in zip(inst.tasks, decision.instance.tasks):
-            assert degraded.f_max <= 0.75 * original.f_max * (1 + 1e-9)
-
-    def test_deep_watermark_sheds_lowest_theta(self):
-        inst = make_instance(n=12, m=2, beta=0.5, seed=734)
-        decision = DegradationPolicy.default().apply(inst, 0.96)
-        assert decision.level == 2
-        assert len(decision.shed) == 3  # 25% of 12
-        thetas = np.array([t.efficiency_theta for t in inst.tasks])
-        kept_thetas = thetas[decision.kept]
-        assert max(thetas[list(decision.shed)]) <= min(kept_thetas) + 1e-12
-
-    def test_never_sheds_everything(self):
-        inst = make_instance(n=1, m=1, beta=0.5, seed=735)
-        policy = DegradationPolicy((Watermark(0.5, work_cap_scale=0.5, shed_fraction=0.9),))
-        decision = policy.apply(inst, 1.0)
-        assert decision.instance.n_tasks == 1
-
-    def test_degraded_instance_solves_and_expands(self):
-        inst = make_instance(n=10, m=2, beta=0.5, seed=736)
-        decision = DegradationPolicy.default().apply(inst, 0.96)
-        schedule = ApproxScheduler().solve(decision.instance)
-        full = expand_times(schedule.times, decision.kept, inst.n_tasks)
-        assert full.shape == (inst.n_tasks, inst.n_machines)
-        assert np.all(full[list(decision.shed)] == 0.0)
-        # degraded schedule spends no more energy than the intact one
-        intact = ApproxScheduler().solve(inst)
-        assert schedule.total_energy <= intact.total_energy * (1 + 1e-9)
-
-    def test_distinct_fractions_enforced(self):
-        with pytest.raises(ValidationError):
-            DegradationPolicy((Watermark(0.5, 0.5), Watermark(0.5, 0.3)))
 
 
 # -- circuit breaker and admission ---------------------------------------------

@@ -220,21 +220,30 @@ class TestJournalBurnReplay:
     @pytest.fixture(scope="class")
     def journal(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("journal")
-        args = ["online", "--horizon", "12", "--rate", "6", "--journal-dir", str(directory), "--degrade"]
+        args = ["online", "--horizon", "12", "--rate", "6", "--journal-dir", str(directory)]
         assert main(args) == 0
         budget = read_events(directory)[0]["meta"]["energy_budget"]
         return directory, budget
 
-    def slo(self, directory, budget):
-        return main(["slo", "--journal-dir", str(directory), "--budget", repr(budget), "--horizon", "12"])
+    def slo(self, directory, budget, horizon=12):
+        return main(["slo", "--journal-dir", str(directory), "--budget", repr(budget), "--horizon", str(horizon)])
 
-    def test_run_that_spends_its_budget_fires_slow_burn(self, journal, capsys):
-        # Each window's spend is stamped at its close and accrues linearly
-        # across it, so spending B over the run reads as a slow burn
-        # (about 1.4x), not a fast one.
+    def test_paced_run_burns_at_the_sustainable_rate(self, journal, capsys):
+        # The run paces B evenly over its windows, so replayed at its own
+        # horizon it spends at exactly the sustainable rate.
         directory, budget = journal
         capsys.readouterr()
-        assert self.slo(directory, budget) == 1
+        assert self.slo(directory, budget) == 0
+        out = capsys.readouterr().out
+        assert "fast 1.00x, slow 1.00x sustainable" in out
+        assert "ALERT" not in out
+
+    def test_run_that_spends_its_budget_fires_slow_burn(self, journal, capsys):
+        # Spending B in 12 s of an 18 s budget period reads as a slow burn
+        # (1.5x), not a fast one.
+        directory, budget = journal
+        capsys.readouterr()
+        assert self.slo(directory, budget, horizon=18) == 1
         out = capsys.readouterr().out
         assert "ALERT slow-burn" in out
         assert "ALERT fast-burn" not in out

@@ -20,10 +20,8 @@ from repro.telemetry import (
     load_file,
     parse_prometheus,
     prometheus_text,
-    read_csv,
     read_jsonl,
     trace_scope,
-    write_csv,
     write_jsonl,
     write_prometheus,
 )
@@ -227,11 +225,6 @@ class TestExporters:
         path = write_jsonl(reg, tmp_path / "m.jsonl")
         assert read_jsonl(path) == reg.snapshot()
 
-    def test_csv_round_trip(self, tmp_path):
-        reg = sample_registry()
-        path = write_csv(reg, tmp_path / "m.csv")
-        assert read_csv(path) == reg.snapshot()
-
     def test_prometheus_round_trip(self, tmp_path):
         reg = sample_registry()
         path = write_prometheus(reg, tmp_path / "m.prom")
@@ -276,11 +269,11 @@ class TestExporters:
 
     def test_format_detection_and_dispatch(self, tmp_path):
         assert detect_format("a.jsonl") == "jsonl"
-        assert detect_format("a.csv") == "csv"
+        assert detect_format("a.csv") == "jsonl"  # no CSV exporter: the default
         assert detect_format("a.prom") == "prometheus"
         assert detect_format("a.unknown") == "jsonl"
         reg = sample_registry()
-        for name in ("m.jsonl", "m.csv", "m.prom"):
+        for name in ("m.jsonl", "m.prom"):
             out = export_file(reg, tmp_path / name)
             loaded = load_file(out)
             assert loaded["metrics"], name
@@ -354,7 +347,7 @@ class TestInstrumentation:
         assert any(s["depth"] > 0 for s in snap["spans"])
 
     def test_cli_telemetry_inspection(self, tmp_path, capsys):
-        out = tmp_path / "metrics.csv"
+        out = tmp_path / "metrics.jsonl"
         assert main(["solve", "-n", "5", "-m", "2", "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         assert main(["telemetry", str(out), "--spans", "5"]) == 0

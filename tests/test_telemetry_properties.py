@@ -1,6 +1,6 @@
 """Property tests: telemetry snapshots survive every exporter round trip.
 
-JSONL and CSV are lossless; the Prometheus exposition format is lossless
+JSONL is lossless; the Prometheus exposition format is lossless
 modulo what the format cannot carry (spans, histogram min/max).  Label
 *values* are adversarial on purpose — quotes, newlines, commas and
 backslashes are exactly what breaks naive text escaping.
@@ -15,10 +15,8 @@ from repro.observe.slo import _merged_histogram, histogram_quantile
 from repro.telemetry import (
     MetricsRegistry,
     collector,
-    read_csv,
     read_jsonl,
     trace_scope,
-    write_csv,
     write_jsonl,
     write_prometheus,
     parse_prometheus,
@@ -26,11 +24,11 @@ from repro.telemetry import (
 )
 
 # Names must be Prometheus-safe so the .prom trip is comparable; the
-# JSONL/CSV trips don't care but share the strategy for simplicity.
+# JSONL trip doesn't care but shares the strategy for simplicity.
 names = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
 label_keys = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
 # Hostile label values: quotes, commas, newlines, backslashes, equals,
-# braces — everything the CSV/Prometheus escapers must cope with.
+# braces — everything the Prometheus escaper must cope with.
 label_values = st.text(
     alphabet='abcXYZ0189 ",\n\\={}[]#\'', min_size=0, max_size=10
 )
@@ -105,17 +103,6 @@ def test_jsonl_round_trip_is_lossless(reg, tmp_path_factory):
     snap = reg.snapshot()
     write_jsonl(snap, path)
     loaded = read_jsonl(path)
-    assert canonical_metrics(loaded) == canonical_metrics(snap)
-    assert canonical_spans(loaded) == canonical_spans(snap)
-
-
-@settings(max_examples=40, deadline=None)
-@given(reg=registries())
-def test_csv_round_trip_is_lossless(reg, tmp_path_factory):
-    path = tmp_path_factory.mktemp("csv") / "metrics.csv"
-    snap = reg.snapshot()
-    write_csv(snap, path)
-    loaded = read_csv(path)
     assert canonical_metrics(loaded) == canonical_metrics(snap)
     assert canonical_spans(loaded) == canonical_spans(snap)
 
