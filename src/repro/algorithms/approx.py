@@ -53,6 +53,7 @@ def round_fractional(instance: ProblemInstance, fractional: Schedule) -> Schedul
 
         times = [[0.0] * m for _ in range(n)]
         loads = [0.0] * m
+        hosted: list[list[int]] = [[] for _ in range(m)]  # each machine's tasks, EDF order
         full = [w <= _FULL_RTOL * max(w, 1.0) for w in w_max]
 
         for j in range(n):
@@ -63,6 +64,7 @@ def round_fractional(instance: ProblemInstance, fractional: Schedule) -> Schedul
             grant = min(task_time[j], w_max[r] - loads[r], caps[j] / speed_of[r])
             grant = max(grant, 0.0)
             times[j][r] = grant
+            hosted[r].append(j)
             loads[r] += grant
             if loads[r] >= w_max[r] - _FULL_RTOL * max(w_max[r], 1.0):
                 full[r] = True
@@ -74,7 +76,7 @@ def round_fractional(instance: ProblemInstance, fractional: Schedule) -> Schedul
         truncated = 0
         for r in range(m):
             start = 0.0
-            for j in range(n):
+            for j in hosted[r]:
                 tj = times[j][r]
                 if tj <= 0.0:
                     continue

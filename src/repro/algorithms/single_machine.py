@@ -81,13 +81,17 @@ def solve_single_machine(
     if segments.n_tasks != n:
         raise ValidationError(f"segment table covers {segments.n_tasks} tasks but {n} deadlines given")
     t = [0.0] * n
-    tasks = segments.task.tolist()
-    wants = (segments.width / speed).tolist()
+    widths = segments.width / speed
     # Every slack d_i − Σ_{k≤i} t_k is a fold of d_i over the grants so far;
     # ``deadlines − cumsum(t)`` matches it to within ``margin`` (each of at
     # most 2·len(segments) + n roundings errs by ≤ 2⁻⁵³ of the magnitude).
-    magnitude = float(np.abs(deadlines).max(initial=0.0)) + float(np.sum(wants))
-    margin = 4.0 * (2 * len(tasks) + n + 8) * 2.0**-53 * magnitude
+    magnitude = float(np.abs(deadlines).max(initial=0.0)) + float(np.sum(widths))
+    margin = 4.0 * (2 * len(segments) + n + 8) * 2.0**-53 * magnitude
+    # Slopes are sorted non-increasing: only the positive prefix can
+    # improve accuracy.
+    positive = int(np.count_nonzero(segments.slope > 0.0))
+    tasks = segments.task[:positive].tolist()
+    wants = widths[:positive].tolist()
     granted_tasks: List[int] = []
     granted: List[float] = []
     approx, floors = _approx_slack(deadlines, t)
@@ -96,9 +100,7 @@ def solve_single_machine(
     capped = math.isfinite(total_cap)
     room = math.inf
     used_total = 0.0
-    for i, (j, slope, wanted) in enumerate(zip(tasks, segments.slope.tolist(), wants)):
-        if slope <= 0.0:
-            break  # sorted: no further segment can improve accuracy
+    for i, (j, wanted) in enumerate(zip(tasks, wants)):
         if j <= blocked:
             continue  # min(slack[j:]) <= 0 already, and slack only shrinks
         if wanted <= 0.0:
@@ -107,10 +109,12 @@ def solve_single_machine(
             room = total_cap - used_total
             if room <= 0.0:
                 break  # the cap only tightens: nothing more fits
-        if floors[j] - pending - margin < wanted:
+        fits = floors[j] - pending - margin >= wanted
+        if not fits:
             approx, floors = _approx_slack(deadlines, t)
             pending = 0.0
-        if floors[j] - pending - margin >= wanted:
+            fits = floors[j] - margin >= wanted
+        if fits:
             # The tightest slack after task j provably covers the segment.
             contribution = room if room < wanted else wanted
         else:

@@ -3,7 +3,10 @@
 A DSCT-EA solution is the matrix ``t_jr`` of processing times (Sec. 3).
 :class:`Schedule` wraps that matrix together with its instance and
 computes every derived quantity: per-task work ``f_j = Σ_r s_r t_jr``,
-accuracies, energy, machine loads and the objective.
+accuracies, energy, machine loads and the objective.  The matrix is
+immutable, so the quantities the solvers and the serving path read
+repeatedly (work, accuracies, loads, their totals) are computed once and
+kept, read-only.
 
 :func:`check_feasibility` audits all model constraints:
 
@@ -21,6 +24,7 @@ constraint is exactly "task j completes by d_j".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -77,6 +81,11 @@ class FeasibilityReport:
         return "\n".join(lines)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Schedule:
     """An assignment of processing times ``t_jr`` for one instance."""
 
@@ -107,17 +116,17 @@ class Schedule:
 
     # -- derived per-task quantities ---------------------------------------------
 
-    @property
+    @cached_property
     def task_flops(self) -> np.ndarray:
-        """``f_j = Σ_r s_r · t_jr`` (FLOP)."""
-        return self._times @ self.instance.cluster.speeds
+        """``f_j = Σ_r s_r · t_jr`` (FLOP, read-only)."""
+        return _read_only(self._times @ self.instance.cluster.speeds)
 
-    @property
+    @cached_property
     def task_accuracies(self) -> np.ndarray:
-        """Accuracy reached by each task at its granted work."""
-        return self.instance.tasks.accuracies(self.task_flops)
+        """Accuracy reached by each task at its granted work (read-only)."""
+        return _read_only(self.instance.tasks.accuracies(self.task_flops))
 
-    @property
+    @cached_property
     def total_accuracy(self) -> float:
         """``Σ_j a_j(f_j)`` — the quantity DSCT-EA maximises."""
         return float(self.task_accuracies.sum())
@@ -134,17 +143,17 @@ class Schedule:
 
     # -- derived per-machine quantities ---------------------------------------------
 
-    @property
+    @cached_property
     def machine_loads(self) -> np.ndarray:
-        """Busy seconds per machine ``Σ_j t_jr``."""
-        return self._times.sum(axis=0)
+        """Busy seconds per machine ``Σ_j t_jr`` (read-only)."""
+        return _read_only(self._times.sum(axis=0))
 
     @property
     def machine_energy(self) -> np.ndarray:
         """Energy per machine (J): load × busy power."""
         return self.machine_loads * self.instance.cluster.powers
 
-    @property
+    @cached_property
     def total_energy(self) -> float:
         """Total energy (J) under the paper's busy-power model (1f)."""
         return float(self.machine_energy.sum())

@@ -12,13 +12,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms.naive_solution import WaterFiller
-from repro.algorithms.refine_profile import _task_margins
+from repro.algorithms.naive_solution import WaterFiller, compute_naive_solution
+from repro.algorithms.refine_profile import (
+    _all_task_margins,
+    _task_margins,
+    deadline_slack,
+    refine_profile,
+)
 from repro.algorithms.single_machine import solve_single_machine
-from repro.core import PiecewiseLinearAccuracy, Task, TaskSet
+from repro.core import PiecewiseLinearAccuracy, ProblemInstance, Task, TaskSet
+from repro.hardware import sample_uniform_cluster
 from repro.utils.errors import ValidationError
+from repro.workloads import TaskGenConfig, generate_tasks
 
-from conftest import make_tasks
+from conftest import make_instance, make_tasks
 
 # -- water-filling --------------------------------------------------------------
 
@@ -174,6 +181,24 @@ class TestTaskSetAccuracies:
                 got = _task_margins(flops, bp.tolist(), acc.slopes.tolist())
                 assert got == reference_margins(acc, flops)
 
+    @pytest.mark.parametrize("tasks", [make_tasks(n=9, seed=4), _ragged_tasks()], ids=["fitted", "ragged"])
+    def test_all_refine_margins_match_per_task_exactly(self, tasks):
+        table = tasks.segment_table
+        rng = np.random.default_rng(10)
+        f_max = tasks.f_max
+        probes = [-1.0 * f_max, np.zeros(len(tasks)), f_max, 2.0 * f_max]
+        probes += [rng.uniform(-0.1, 1.1, len(tasks)) * f_max for _ in range(50)]
+        for k in range(table.breakpoints.shape[1]):  # on, and within dust of, every breakpoint
+            at = np.minimum(table.breakpoints[:, k], f_max)
+            probes += [at * (1.0 + s) for s in (0.0, -1e-10, 1e-10, -1e-6, 1e-6)]
+        for flops in probes:
+            got = np.column_stack(_all_task_margins(table, flops))
+            want = [
+                _task_margins(float(f), table.breakpoints[j, : k + 1].tolist(), table.slopes[j, :k].tolist())
+                for j, (f, k) in enumerate(zip(flops, table.n_segments))
+            ]
+            assert got.tolist() == [list(row) for row in want]
+
     def test_nan_work_gives_nan(self):
         tasks = make_tasks(n=2)
         assert np.isnan(tasks.accuracies([math.nan, 0.0])[0])
@@ -238,3 +263,138 @@ class TestSingleMachineKernel:
         deadlines = tasks.deadlines * 1e12  # Algorithm 2's FLOP-unit deadlines
         got = solve_single_machine(deadlines, 1.0, tasks.segment_table)
         assert np.array_equal(got, reference_single_machine(tasks, deadlines, 1.0))
+
+
+# -- Algorithm 3 --------------------------------------------------------------------
+
+
+def reference_refine_profile(instance, times, max_iterations=None):
+    """RefineProfile rebuilding every (n, m) and (n, m, m) array each iteration."""
+    tasks, cluster = instance.tasks, instance.cluster
+    n, m = instance.n_tasks, instance.n_machines
+    t = np.asarray(times, dtype=float).copy()
+    speeds, powers, effs = cluster.speeds, cluster.powers, cluster.efficiencies
+    deadlines, budget = tasks.deadlines, instance.budget
+    table = tasks.segment_table
+    if max_iterations is None:
+        max_iterations = 50 * (len(table) * m + n * m + 10)
+    counts = table.n_segments.tolist()
+    points = [row[: k + 1] for row, k in zip(table.breakpoints.tolist(), counts)]
+    pieces = [row[:k] for row, k in zip(table.slopes.tolist(), counts)]
+    if math.isfinite(budget) and budget > 0:
+        energy_scale = budget
+    else:
+        energy_scale = float(t.sum(axis=0) @ powers) or 1.0
+    eps_energy = 1e-12 * max(energy_scale, 1.0)
+    psi_rtol = 1e-9
+
+    gains, losses, next_room, prev_room = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        iterations += 1
+        flops = t @ speeds
+        for j in range(n):
+            gains[j], losses[j], next_room[j], prev_room[j] = _task_margins(float(flops[j]), points[j], pieces[j])
+        slack = deadline_slack(t, deadlines)
+        grow_energy = np.minimum(slack * powers[None, :], next_room[:, None] / effs[None, :])
+        psi_grow = gains[:, None] * effs[None, :]
+        growable = (grow_energy > eps_energy) & (psi_grow > 0.0)
+        shrink_energy = np.minimum(t * powers[None, :], prev_room[:, None] / effs[None, :])
+        psi_shrink = losses[:, None] * effs[None, :]
+        shrinkable = shrink_energy > eps_energy
+        unused = math.inf if math.isinf(budget) else budget - float(t.sum(axis=0) @ powers)
+
+        moved = False
+        if unused > eps_energy and np.any(growable):
+            masked = np.where(growable, psi_grow, -np.inf)
+            j, r = np.unravel_index(int(np.argmax(masked)), masked.shape)
+            delta_e = min(unused, float(grow_energy[j, r]))
+            if delta_e > eps_energy:
+                t[j, r] += delta_e / powers[r]
+                moved = True
+        if not moved and np.any(growable) and np.any(shrinkable):
+            masked_g = np.where(growable, psi_grow, -np.inf)
+            jg, rg = np.unravel_index(int(np.argmax(masked_g)), masked_g.shape)
+            masked_s = np.where(shrinkable, psi_shrink, np.inf)
+            masked_s[jg, rg] = np.inf
+            js, rs = np.unravel_index(int(np.argmin(masked_s)), masked_s.shape)
+            psi_g, psi_s = float(psi_grow[jg, rg]), float(masked_s[js, rs])
+            if math.isfinite(psi_s) and psi_g > psi_s * (1.0 + psi_rtol) + psi_rtol:
+                delta_e = min(float(grow_energy[jg, rg]), float(shrink_energy[js, rs]))
+                if delta_e > eps_energy:
+                    t[jg, rg] += delta_e / powers[rg]
+                    t[js, rs] -= delta_e / powers[rs]
+                    if t[js, rs] < 0.0:
+                        t[js, rs] = 0.0
+                    moved = True
+        if not moved:
+            df = np.minimum((t * speeds)[:, :, None], (slack * speeds)[:, None, :])  # (n, src, dst)
+            rate = 1.0 / effs[:, None] - 1.0 / effs[None, :]
+            saving = df * np.where(rate > 0.0, rate, 0.0)[None, :, :]
+            idx = int(np.argmax(saving))
+            if saving.flat[idx] > eps_energy:
+                j, r_src, r_dst = np.unravel_index(idx, saving.shape)
+                moved_flops = float(df[j, r_src, r_dst])
+                t[j, r_src] -= moved_flops / speeds[r_src]
+                if t[j, r_src] < 0.0:
+                    t[j, r_src] = 0.0
+                t[j, r_dst] += moved_flops / speeds[r_dst]
+                moved = True
+        if not moved:
+            converged = True
+            break
+    return t, iterations, converged
+
+
+def _workload_instance(n, m, beta, seed):
+    cluster = sample_uniform_cluster(m, seed=seed)
+    tasks = generate_tasks(TaskGenConfig(n=n, theta_range=(0.1, 1.0)), cluster, seed=seed + 100)
+    if beta is None:
+        return ProblemInstance(tasks, cluster, math.inf)
+    return ProblemInstance.with_beta(tasks, cluster, beta)
+
+
+class TestRefineProfileKernel:
+    """The incremental RefineProfile against the full rebuild, bit for bit."""
+
+    @staticmethod
+    def _assert_matches(instance, times, max_iterations=None):
+        got = refine_profile(instance, times, max_iterations=max_iterations)
+        want_times, want_iterations, want_converged = reference_refine_profile(instance, times, max_iterations)
+        assert got.times.tolist() == want_times.tolist()
+        assert (got.iterations, got.converged) == (want_iterations, want_converged)
+        return got
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.8, None, 0.0], ids=["b005", "b03", "b08", "inf", "zero"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_workloads(self, seed, beta):
+        n, m = 20 + 13 * seed, 2 + 2 * seed
+        instance = _workload_instance(n, m, beta, seed)
+        self._assert_matches(instance, compute_naive_solution(instance).times)
+
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("beta", [0.3, 0.8, None])
+    def test_one_and_eight_machines(self, m, beta):
+        instance = _workload_instance(60, m, beta, 11 + m)
+        self._assert_matches(instance, compute_naive_solution(instance).times)
+
+    @pytest.mark.parametrize("n, seed", [(9, 41), (12, 35)])
+    def test_golden_tight_polish_instances(self, n, seed):
+        instance = make_instance(n=n, m=3, beta=0.8, seed=seed, rho=0.3)
+        self._assert_matches(instance, compute_naive_solution(instance).times)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_a_starved_start(self, seed):
+        """Half the naive times: every phase runs many times before convergence."""
+        instance = _workload_instance(40, 3 + seed, 0.5, 20 + seed)
+        result = self._assert_matches(instance, 0.5 * compute_naive_solution(instance).times)
+        assert result.iterations > 5
+
+    def test_iteration_cut_off(self):
+        instance = _workload_instance(40, 4, 0.5, 21)
+        start = 0.5 * compute_naive_solution(instance).times
+        full = self._assert_matches(instance, start)
+        for limit in (0, 1, full.iterations // 2, full.iterations - 1):
+            cut = self._assert_matches(instance, start, max_iterations=limit)
+            assert cut.iterations == limit and not cut.converged

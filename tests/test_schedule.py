@@ -52,6 +52,24 @@ class TestDerived:
         sched = Schedule.empty(inst)
         assert sched.accuracy_error == pytest.approx(inst.n_tasks - sched.total_accuracy)
 
+    def test_derived_arrays_cached_read_only_and_fresh(self, inst):
+        times = np.random.default_rng(3).uniform(0.0, 0.2, (4, 2))
+        sched = Schedule(inst, times)
+        flops = times @ inst.cluster.speeds
+        fresh = {
+            "task_flops": flops,
+            "task_accuracies": inst.tasks.accuracies(flops),
+            "machine_loads": times.sum(axis=0),
+        }
+        for name, want in fresh.items():
+            got = getattr(sched, name)
+            assert got is getattr(sched, name)  # computed once
+            assert got.tolist() == want.tolist()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert sched.total_accuracy == float(fresh["task_accuracies"].sum())
+        assert sched.total_energy == float((fresh["machine_loads"] * inst.cluster.powers).sum())
+
     def test_machine_loads_and_energy(self, inst):
         times = np.full((4, 2), 0.1)
         sched = Schedule(inst, times)
