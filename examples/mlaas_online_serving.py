@@ -8,8 +8,9 @@ DSCT-EA-APPROX under the window's share of a global energy budget.
 
 Two evaluations are reported for each policy:
 
-* the **planner's view** (`repro.online.RollingHorizonPlanner`) — each
-  window scored algebraically, as the optimizer sees it;
+* the **planner's view** (`repro.online.RollingHorizonPlanner`, the
+  durable window loop run without a journal) — each window scored
+  algebraically, as the optimizer sees it;
 * the **measured view** (`repro.simulator.OnlineSimulation`) — the same
   loop executed in the discrete-event simulator, where work queued
   behind the previous window's backlog burns real SLO time.  The gap

@@ -20,10 +20,11 @@ Four parts, layered:
   run at arbitrary journal bytes (mid-record included), recover, resume,
   and demand bit-identical outcomes.
 
-:class:`~repro.durability.run.DurableRun` ties them into the one
-resumable rolling-horizon serving loop that carries the global budget;
-:meth:`repro.online.planner.RollingHorizonPlanner.run_durable` and
-``repro online --journal-dir`` reach it.
+:class:`~repro.durability.run.DurableRun` ties them into the library's
+one rolling-horizon serving loop, the one that carries the global
+budget; with ``journal_dir=None`` it writes nothing.
+:class:`repro.online.planner.RollingHorizonPlanner` (``run`` and
+``run_durable``) and ``repro online`` reach it.
 :class:`~repro.durability.solve_journal.SolveJournal` is the per-solve
 energy ledger of both servers (``repro serve --journal-dir`` and each
 cluster shard).

@@ -1,11 +1,11 @@
-"""A crash-safe, resumable rolling-horizon serving run.
+"""The rolling-horizon serving loop; crash-safe and resumable when journaled.
 
-:class:`DurableRun` is the durable counterpart of
-:class:`~repro.online.planner.RollingHorizonPlanner`: the same
-buffer-per-window serving loop, but every step is journaled to a
-write-ahead log *before* it takes effect, state is checkpointed every
-few windows, and a restarted run picks up exactly where the crash left
-off:
+:class:`DurableRun` is the library's one buffer-per-window serving loop
+(:class:`~repro.online.planner.RollingHorizonPlanner` configures it).
+With ``journal_dir=None`` it writes nothing.  Given a directory, every
+step is journaled to a write-ahead log *before* it takes effect, state
+is checkpointed every few windows, and a restarted run picks up exactly
+where the crash left off:
 
 1. the requests entering a window are journaled as one columnar
    ``arrivals`` record (ids, arrival times, SLOs, efficiencies);
@@ -45,6 +45,7 @@ and accuracies compare equal with ``==``, not approximately.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +57,7 @@ from ..algorithms.base import Scheduler
 from ..core.machine import Cluster
 from ..core.serialization import cluster_to_dict
 from ..online.planner import on_time_count, window_instance
-from ..telemetry import get_collector
+from ..telemetry import ensure_trace, get_collector
 from ..utils.errors import RecoveryError
 from ..utils.validation import check_positive, require
 from ..workloads.arrivals import Request, window_batches
@@ -65,6 +66,9 @@ from .recovery import RecoveredState, certify, recover
 from .snapshot import SnapshotStore
 
 __all__ = ["DurableWindow", "DurableReport", "DurableRun"]
+
+_REQUEST_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
+_ENERGY_BUCKETS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
 
 @dataclass(frozen=True)
@@ -150,28 +154,39 @@ class DurableReport:
         )
 
 
-class DurableRun:
-    """Journaled, snapshotted, resumable window-by-window serving.
+class _NullJournal(contextlib.nullcontext):
+    """The journal of a run that writes nothing (``journal_dir=None``)."""
 
-    Point it at a journal directory: an empty directory starts a fresh
-    run; a directory holding a (possibly crash-truncated) journal is
+    record_count = 0
+
+    def append(self, event) -> None:
+        pass
+
+    def group(self):
+        return contextlib.nullcontext()
+
+
+class DurableRun:
+    """Window-by-window serving; journaled, snapshotted and resumable on request.
+
+    ``journal_dir=None`` writes nothing.  An empty directory starts a
+    fresh run; one holding a (possibly crash-truncated) journal is
     recovered, certified against the energy budget, and *continued* —
     committed windows are replayed from the log, the rest are solved.
 
-    Parameters mirror :class:`~repro.online.planner.RollingHorizonPlanner`
-    plus the global budget ledger, which only this loop carries:
-    ``energy_budget`` caps cumulative spend across *all* windows (and
-    restarts — that is the point) and is paced evenly over the windows
-    left, ``snapshot_every`` checkpoints state every N committed
-    windows, ``fsync`` selects the journal's durability barrier (see
-    :class:`~repro.durability.journal.JournalWriter`).
+    ``window_seconds`` and ``power_cap_fraction`` set the per-window
+    grant (:attr:`window_budget`); ``energy_budget`` caps cumulative
+    spend across *all* windows (and restarts — that is the point) and is
+    paced evenly over the windows left, ``snapshot_every`` checkpoints
+    state every N committed windows, ``fsync`` selects the journal's
+    durability barrier (see :class:`~repro.durability.journal.JournalWriter`).
     """
 
     def __init__(
         self,
         cluster: Cluster,
         scheduler: Scheduler,
-        journal_dir: Union[str, Path],
+        journal_dir: Optional[Union[str, Path]],
         *,
         window_seconds: float = 2.0,
         power_cap_fraction: float = 0.5,
@@ -187,7 +202,7 @@ class DurableRun:
             check_positive(energy_budget, "energy_budget")
         self.cluster = cluster
         self.scheduler = scheduler
-        self.journal_dir = Path(journal_dir)
+        self.journal_dir = None if journal_dir is None else Path(journal_dir)
         self.window_seconds = float(window_seconds)
         self.power_cap_fraction = float(power_cap_fraction)
         self.energy_budget = energy_budget
@@ -245,14 +260,16 @@ class DurableRun:
         )
 
     def run(self, requests: Sequence[Request]) -> DurableReport:
-        """Serve the stream durably; resumes automatically from a journal."""
+        """Serve the stream under one trace; a journaled run resumes from its journal."""
         ordered = sorted(requests, key=lambda r: r.arrival_time)
         ids = {id(r): i for i, r in enumerate(ordered)}
         batches = list(window_batches(ordered, self.window_seconds))
         tele = get_collector()
+        journaled = self.journal_dir is not None
+        journal = JournalWriter(self.journal_dir, fsync=self.fsync) if journaled else _NullJournal()
 
-        with JournalWriter(self.journal_dir, fsync=self.fsync) as journal:
-            store = SnapshotStore(self.journal_dir, fsync=self.fsync != "never")
+        with ensure_trace(), tele.span("planner.run"), journal:
+            store = SnapshotStore(self.journal_dir, fsync=self.fsync != "never") if journaled else None
             windows: List[DurableWindow] = []
             cum_energy = 0.0
             next_window = 0
@@ -280,11 +297,17 @@ class DurableRun:
             # replayed above.
             for index in range(next_window, len(batches)):
                 start, batch = batches[index]
-                _, window = self._plan_window(journal, index, start, batch, ids, cum_energy, len(batches) - index)
+                with tele.span("planner.window", window=str(index)):
+                    _, window = self._plan_window(journal, index, start, batch, ids, cum_energy, len(batches) - index)
                 cum_energy = window.cum_energy
                 windows.append(window)
-                tele.counter("durable_windows_total").inc()
-                if (index + 1) % self.snapshot_every == 0:
+                tele.counter("planner_windows_total").inc()
+                tele.counter("planner_requests_total").add(window.n_requests)
+                tele.counter("planner_on_time_total").add(window.on_time)
+                tele.counter("planner_accuracy_total").add(sum(window.accuracies))
+                tele.histogram("planner_window_requests", buckets=_REQUEST_BUCKETS).observe(window.n_requests)
+                tele.histogram("planner_window_energy_joules", buckets=_ENERGY_BUCKETS).observe(window.energy)
+                if store is not None and (index + 1) % self.snapshot_every == 0:
                     # The state's canonical JSON, spliced: "windows" sorts
                     # after the other keys, and each window is its record.
                     head = encode_payload({"cum_energy": cum_energy, "meta": meta})
@@ -337,7 +360,7 @@ class DurableRun:
         flops, accuracies = np.zeros(len(batch)), np.zeros(len(batch))
         on_time, energy = 0, 0.0
         if solve:
-            with tele.span("durable.window.solve", window=str(index)):
+            with tele.span("planner.window.solve"):
                 schedule = self.scheduler.solve(instance)
             flops, accuracies = schedule.task_flops, schedule.task_accuracies
             on_time = on_time_count(schedule, instance.tasks.deadlines)

@@ -60,8 +60,8 @@ class SLOSpec:
 
     ``None`` disables an objective.  ``latency_span`` selects which span
     name's duration histogram the latency objective reads — the server's
-    solve phase by default; use ``"planner.window.solve"`` for offline
-    planner runs.
+    solve phase by default; use ``"planner.window.solve"`` for
+    rolling-horizon runs, journaled or not.
     """
 
     p99_solve_latency: Optional[float] = None  # seconds

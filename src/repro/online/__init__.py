@@ -1,5 +1,5 @@
 """Online serving: rolling-horizon planning over request streams."""
 
-from .planner import RollingHorizonPlanner, ServingReport, WindowOutcome
+from .planner import RollingHorizonPlanner
 
-__all__ = ["RollingHorizonPlanner", "ServingReport", "WindowOutcome"]
+__all__ = ["RollingHorizonPlanner"]

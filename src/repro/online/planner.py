@@ -1,4 +1,4 @@
-"""Rolling-horizon online planner over a request stream.
+"""Rolling-horizon online planning over a request stream.
 
 The paper solves a static batch; a serving front-end sees a stream.  The
 natural deployment (also used in its inspiration, Jellyfish [16]) is a
@@ -7,28 +7,26 @@ the buffered batch as a DSCT-EA instance whose deadlines are the
 requests' SLOs relative to a planning instant, and whose budget is the
 window's share of a global power cap.
 
-:func:`window_instance` is that step, shared by the three window loops.
-The planning instant is the caller's: :class:`RollingHorizonPlanner` and
-:class:`~repro.durability.run.DurableRun` plan at the window *start*, so
-a request's work can be scheduled before the request arrives;
+:func:`window_instance` is that step, shared by the two window loops.
+The planning instant is the caller's:
+:class:`~repro.durability.run.DurableRun` plans at the window *start*,
+so a request's work can be scheduled before it arrives;
 :class:`~repro.simulator.online_sim.OnlineSimulation` plans at the tick
 that *closes* the window, over requests already arrived.  The two are not
 interchangeable on short SLOs: on bursty streams with 0.5-2 s SLOs and
 2 s windows, planning at close cut the durable planner's mean accuracy
 from 0.409 to 0.231 and its on-time share from 0.82 to 0.54.
 
-:class:`RollingHorizonPlanner` formalises the loop around any
-:class:`~repro.algorithms.base.Scheduler`; the ``mlaas_online_serving``
-example is a thin wrapper over it.  A global energy budget across
-windows (paced grants, journal, resume) is
-:meth:`RollingHorizonPlanner.run_durable`; execution under machine
-failures, with or without replanning, is the simulator's.
+:class:`RollingHorizonPlanner` configures that loop for any
+:class:`~repro.algorithms.base.Scheduler`: ``run`` writes nothing,
+``run_durable`` adds the journal, resume and a paced global budget.
+Execution under machine failures, with or without replanning, is the
+simulator's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +34,12 @@ from ..algorithms.base import Scheduler
 from ..core.instance import ProblemInstance
 from ..core.machine import Cluster
 from ..core.schedule import Schedule
-from ..telemetry import ensure_trace, get_collector
 from ..utils.errors import ValidationError
 from ..utils.validation import check_positive
-from ..workloads.arrivals import Request, window_batches
+from ..workloads.arrivals import Request
 from ..workloads.generator import tasks_from_thetas
 
-__all__ = ["WindowOutcome", "ServingReport", "RollingHorizonPlanner", "window_instance", "on_time_count"]
+__all__ = ["RollingHorizonPlanner", "window_instance", "on_time_count"]
 
 
 def window_instance(
@@ -65,47 +62,6 @@ def on_time_count(schedule: Schedule, deadlines: np.ndarray) -> int:
     """Tasks of ``schedule`` that received work and finish by their deadline."""
     completion = schedule.completion_times.max(axis=1)
     return int(np.sum((schedule.task_flops > 0) & (completion <= deadlines + 1e-9)))
-
-
-@dataclass(frozen=True)
-class WindowOutcome:
-    """What one planning window achieved."""
-
-    start: float
-    n_requests: int
-    schedule: Schedule
-    accuracies: np.ndarray
-    on_time: int
-    energy: float
-
-
-@dataclass(frozen=True)
-class ServingReport:
-    """Aggregate over all windows of one run."""
-
-    windows: tuple[WindowOutcome, ...]
-
-    @property
-    def n_requests(self) -> int:
-        return sum(w.n_requests for w in self.windows)
-
-    @property
-    def mean_accuracy(self) -> float:
-        if not self.windows:
-            return 0.0
-        total = sum(float(w.accuracies.sum()) for w in self.windows)
-        return total / max(self.n_requests, 1)
-
-    @property
-    def on_time_fraction(self) -> float:
-        """Fraction of requests that received work and met their SLO."""
-        if self.n_requests == 0:
-            return 0.0
-        return sum(w.on_time for w in self.windows) / self.n_requests
-
-    @property
-    def total_energy(self) -> float:
-        return sum(w.energy for w in self.windows)
 
 
 class RollingHorizonPlanner:
@@ -146,47 +102,9 @@ class RollingHorizonPlanner:
         """Energy budget (J) granted to each window."""
         return self.power_cap_fraction * self.window_seconds * self.cluster.total_power
 
-    def plan_window(self, start: float, batch: Sequence[Request]) -> WindowOutcome:
-        """Solve one window's batch; returns the outcome."""
-        if not batch:
-            raise ValidationError("cannot plan an empty window")
-        tele = get_collector()
-        with tele.span("planner.window"):
-            _, instance = window_instance(batch, start, self.cluster, self.window_budget)
-            with tele.span("planner.window.solve"):
-                schedule = self.scheduler.solve(instance)
-            on_time = on_time_count(schedule, instance.tasks.deadlines)
-        tele.counter("planner_windows_total").inc()
-        tele.counter("planner_requests_total").add(len(batch))
-        tele.counter("planner_on_time_total").add(on_time)
-        tele.counter("planner_accuracy_total").add(float(schedule.task_accuracies.sum()))
-        tele.histogram("planner_window_requests", buckets=(1, 2, 5, 10, 20, 50, 100, 200, 500)).observe(
-            len(batch)
-        )
-        tele.histogram(
-            "planner_window_energy_joules",
-            buckets=(1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
-        ).observe(schedule.total_energy)
-        return WindowOutcome(
-            start=start,
-            n_requests=len(batch),
-            schedule=schedule,
-            accuracies=schedule.task_accuracies,
-            on_time=on_time,
-            energy=schedule.total_energy,
-        )
-
-    def run(self, requests: Sequence[Request]) -> ServingReport:
-        """Plan an entire stream; empty streams yield an empty report.
-
-        The whole run executes under one trace (the caller's active
-        trace id, or a fresh one), so every window's spans correlate.
-        """
-        outcomes: List[WindowOutcome] = []
-        with ensure_trace(), get_collector().span("planner.run"):
-            for start, batch in window_batches(list(requests), self.window_seconds):
-                outcomes.append(self.plan_window(start, batch))
-        return ServingReport(tuple(outcomes))
+    def run(self, requests: Sequence[Request]):
+        """Plan the stream under the power cap alone, writing nothing."""
+        return self.run_durable(requests, None)
 
     def run_durable(
         self,
@@ -198,18 +116,10 @@ class RollingHorizonPlanner:
         fsync: str = "always",
         meta: Optional[dict] = None,
     ):
-        """Plan the stream crash-safely (journal + snapshots + resume).
+        """Plan the stream crash-safely: journal, snapshots, resume, paced budget.
 
-        The durable counterpart of :meth:`run`: every window is
-        journaled to a write-ahead log under ``journal_dir`` before it
-        commits, state is snapshotted every ``snapshot_every`` windows,
-        and a journal left behind by a crashed run is recovered,
-        certified against ``energy_budget`` and *continued* — committed
-        windows replay from the log, the rest are re-solved
-        deterministically.  ``energy_budget`` is paced: each window is
-        granted an even share of what is left, capped at
-        :attr:`window_budget`.  Returns a
-        :class:`~repro.durability.run.DurableReport`.
+        Returns :meth:`DurableRun(...).run(requests)
+        <repro.durability.run.DurableRun.run>`'s report; see there.
         """
         from ..durability.run import DurableRun
 

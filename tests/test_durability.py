@@ -731,6 +731,13 @@ class TestDurabilityCLI:
         code = main(["online", "--horizon", "6", "--rate", "5"])
         assert code == 0
         assert "served" in capsys.readouterr().out
+        # Pinned byte for byte: the plain run is the durable loop without a journal.
+        assert main(["online", "--horizon", "30", "--rate", "8", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "served 232 requests in 15 windows (approx)\n"
+            "mean accuracy 0.5134, on-time 90.5%\n"
+            "energy 10211.7 J\n"
+        )
 
     def test_online_durable_and_resume(self, capsys, tmp_path):
         from repro.cli import main

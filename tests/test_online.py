@@ -1,4 +1,4 @@
-"""Rolling-horizon online planner."""
+"""Rolling-horizon online planner (a configuration of the durable window loop)."""
 
 import numpy as np
 import pytest
@@ -66,11 +66,6 @@ class TestPlanner:
         assert report.mean_accuracy == 0.0
         assert report.total_energy == 0.0
 
-    def test_plan_window_rejects_empty(self, cluster):
-        planner = RollingHorizonPlanner(cluster, ApproxScheduler())
-        with pytest.raises(ValidationError):
-            planner.plan_window(0.0, [])
-
     def test_rejects_bad_params(self, cluster):
         with pytest.raises(ValidationError):
             RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=0.0)
@@ -80,9 +75,14 @@ class TestPlanner:
     def test_single_request_window(self, cluster):
         planner = RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=2.0)
         request = Request(arrival_time=0.5, slo_seconds=1.0, theta_per_tflop=0.3)
-        outcome = planner.plan_window(0.0, [request])
-        assert outcome.n_requests == 1
-        assert outcome.schedule.feasibility().feasible
+        (window,) = planner.run([request]).windows
+        assert window.n_requests == 1 and window.start == 0.0
+        _, instance = window_instance([request], window.start, cluster, planner.window_budget)
+        schedule = ApproxScheduler().solve(instance)
+        assert schedule.feasibility().feasible
+        assert window.flops == tuple(schedule.task_flops.tolist())
+        assert window.accuracies == tuple(schedule.task_accuracies.tolist())
+        assert window.energy == schedule.total_energy
 
 
 class TestWindowStep:
@@ -114,14 +114,14 @@ class TestWindowStep:
         assert on_time_count(schedule, np.full(8, np.inf)) == served
         assert on_time_count(schedule, np.zeros(8)) == 0
 
-    def test_run_and_run_durable_agree_bit_for_bit(self, cluster, tmp_path):
+    def test_run_and_run_durable_agree_bit_for_bit(self, cluster, tmp_path, monkeypatch):
+        """A journal does not change the outcome."""
         requests = MMPPArrivals(2.0, 8.0, mean_phase_seconds=2.0, seed=5).generate(12.0)
         planner = RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=2.0)
+        monkeypatch.chdir(tmp_path)
         plain = planner.run(requests)
-        durable = planner.run_durable(requests, tmp_path, fsync="never")
-        assert len(plain.windows) == len(durable.windows) > 1
+        assert not any(tmp_path.iterdir())  # the plain run writes nothing
+        durable = planner.run_durable(requests, tmp_path / "journal", fsync="never")
+        assert len(plain.windows) > 1
         assert 0 < plain.on_time_fraction < 1
-        for a, b in zip(plain.windows, durable.windows):
-            assert tuple(a.accuracies.tolist()) == b.accuracies
-            assert a.on_time == b.on_time
-            assert a.energy == b.energy
+        assert plain.windows == durable.windows

@@ -264,3 +264,21 @@ class TestJournalBurnReplay:
     def test_missing_journal_is_an_error(self, tmp_path, capsys):
         assert self.slo(tmp_path / "no-such-dir", 100.0) == 2
         assert "no journal records" in capsys.readouterr().err
+
+
+class TestBudgetedRunObjectives:
+    """A journaled, budgeted run feeds the accuracy and miss-rate objectives."""
+
+    def test_slo_reads_a_budgeted_runs_counters(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        args = ["online", "--horizon", "12", "--rate", "6", "--journal-dir", str(tmp_path / "j")]
+        assert main([*args, "--metrics-out", str(metrics)]) == 0
+        capsys.readouterr()
+        assert main(["slo", str(metrics), "--accuracy-floor", "0.99"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] accuracy_floor: 0.75")
+        assert "mean of planner_accuracy_total over 64 request(s)" in out
+        assert main(["slo", str(metrics), "--miss-rate", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "no data" not in out
+        assert "miss rate from planner_on_time_total over 64 request(s)" in out

@@ -396,7 +396,7 @@ class TestInstrumentation:
         assert code == 2
         assert "does not parse as prometheus" in capsys.readouterr().err
 
-    def test_planner_and_online_sim_emit_metrics(self):
+    def test_planner_and_online_sim_emit_metrics(self, tmp_path):
         from repro.algorithms.approx import ApproxScheduler
         from repro.hardware import sample_uniform_cluster
         from repro.online.planner import RollingHorizonPlanner
@@ -410,6 +410,11 @@ class TestInstrumentation:
         planner = RollingHorizonPlanner(cluster, ApproxScheduler(), window_seconds=0.5)
         with collector() as reg:
             planner.run(requests)
+        assert reg.counter("planner_requests_total").value == 6
+        assert any(s.name == "planner.window" for s in reg.spans)
+        # A journaled run is the same loop and emits the same family.
+        with collector() as reg:
+            planner.run_durable(requests, tmp_path, fsync="never")
         assert reg.counter("planner_requests_total").value == 6
         assert any(s.name == "planner.window" for s in reg.spans)
 
