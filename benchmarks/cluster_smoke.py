@@ -40,7 +40,7 @@ _HEAL_SECONDS = 10.0
 
 
 def _healed(health, victim: str) -> bool:
-    """The supervisor saw the kill: the victim was restarted and all shards are up."""
+    """The control loop saw the kill: the victim was restarted and all shards are up."""
     return health["restarts"].get(victim, 0) >= 1 and health["status"] == "ok"
 
 
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
         killer_thread.join(timeout=5.0)
         health = manager.health()
         if health["supervised"] and killed_at:
-            # The supervisor restarts the victim; give it a bounded while
+            # The control loop restarts the victim; give it a bounded while
             # to finish before judging what the cluster saw.
             victim = killed_at[0][0]
             deadline = time.monotonic() + _HEAL_SECONDS

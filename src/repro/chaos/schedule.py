@@ -29,7 +29,7 @@ kind                   site                    effect
 
 ``worker.window`` events count a shard's solve-window envelopes;
 ``frontend.lease_release`` counts grant releases on the shard's death
-path; ``clock_skew`` counts rebalancer cycles (shard-less: the ledger is
+path; ``clock_skew`` counts rebalance cycles (shard-less: the ledger is
 global); ``frontend.submit`` counts client submissions routed to the
 shard, and an ``arrival_burst`` magnitude is the number of synthetic
 best-effort requests injected — exercising AIMD admission and the

@@ -1105,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_clu.add_argument("--fallback", action="store_true", help="serve through the fallback chain")
     p_clu.add_argument(
-        "--rebalance-seconds", type=float, default=2.0, help="period of the lease rebalancer"
+        "--rebalance-seconds", type=float, default=2.0, help="period of the lease rebalance"
     )
     p_clu.add_argument(
         "--queue-target",

@@ -20,7 +20,9 @@ global energy budget ``B`` — across all of it:
 * :mod:`repro.cluster.worker` — the shard worker process: own journal,
   telemetry registry, admission control and burn-rate monitor;
 * :mod:`repro.cluster.frontend` — the control plane and HTTP front-end
-  (:class:`~repro.cluster.frontend.ClusterManager`,
+  (:class:`~repro.cluster.frontend.ClusterManager`, whose one control
+  thread detects worker deaths, restarts workers, sweeps stale windows,
+  fires retries and rebalances leases;
   :func:`~repro.cluster.frontend.make_cluster_server`);
 * :mod:`repro.cluster.bench` — the serving load benchmark behind
   ``repro bench serve``.
@@ -39,7 +41,6 @@ from .frontend import ClusterConfig, ClusterManager, make_cluster_server, serve_
 from .ledger import ClusterAudit, EnergyLeaseLedger, ShardLease, audit_cluster
 from .router import ConsistentHashRouter
 from .solve_service import SolveService, SolveServiceConfig, SolveStep, solve_payload
-from .supervisor import ShardSupervisor
 from .worker import WorkerConfig, worker_main
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "ShardLease",
     "audit_cluster",
     "ConsistentHashRouter",
-    "ShardSupervisor",
     "SolveService",
     "SolveServiceConfig",
     "SolveStep",

@@ -10,13 +10,17 @@ cluster.  It owns
 * one :class:`~repro.cluster.batcher.WindowBatcher` per shard coalescing
   requests into bounded solve windows;
 * the :class:`~repro.cluster.ledger.EnergyLeaseLedger` splitting the
-  global budget ``B`` into per-shard leases, with a background
-  rebalancer moving unspent headroom to the shards that are burning it;
+  global budget ``B`` into per-shard leases;
 * per-shard dispatcher threads that settle completed windows — resolving
-  each request's :class:`~repro.cluster.batcher.PendingResult`,
-  committing realised energy back to the ledger, and detecting worker
-  death (in-flight requests answer 503, the grant is released, the ring
-  routes around the corpse).
+  each request's :class:`~repro.cluster.batcher.PendingResult` and
+  committing realised energy back to the ledger;
+* one control thread doing all deferred work (:meth:`ClusterManager._control_loop`):
+  every heartbeat it declares dead workers (their grants committed in
+  full, their requests retried, the ring routes around the corpse),
+  restarts them when supervised, and sweeps windows whose reply never
+  came; it fires each retry when its backoff is due, and every
+  ``rebalance_seconds`` moves unspent lease headroom to the shards that
+  are burning it.
 
 :func:`make_cluster_server` serves a manager through the HTTP handler
 :mod:`repro.server` uses too
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
 import itertools
 import math
 import multiprocessing
@@ -52,7 +57,6 @@ from .batcher import PendingResult, QueueFullError, WindowBatcher
 from .ledger import EnergyLeaseLedger
 from .router import ConsistentHashRouter
 from .solve_service import SolveHandler, error_doc
-from .supervisor import ShardSupervisor
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ClusterConfig", "ClusterManager", "make_cluster_server", "serve_cluster"]
@@ -207,8 +211,11 @@ class ClusterManager:
         self._batch_ids = itertools.count(1)
         self._started = False
         self._stopping = threading.Event()
-        self._rebalancer: Optional[threading.Thread] = None
-        self._supervisor: Optional[ShardSupervisor] = None
+        self._control: Optional[threading.Thread] = None
+        #: retries the control loop fires when due: (due, seq, item, pending, reason)
+        self._retries: List[Tuple[float, int, Dict[str, Any], PendingResult, str]] = []
+        self._retry_lock = threading.Lock()
+        self._retry_seq = itertools.count()
         self._retry_rng = random.Random()  # jitter only; never part of chaos determinism
         self._overload: Dict[str, _ShardOverload] = {
             s: _ShardOverload(config) for s in ids
@@ -246,15 +253,6 @@ class ClusterManager:
         )
         handle.process.start()
         handle.epoch = self.ledger.epoch_of(shard)
-        # One context copy per thread: a Context object cannot be
-        # entered by two threads at once.
-        dispatch_context = contextvars.copy_context()
-        handle.dispatcher = threading.Thread(
-            target=lambda c=dispatch_context, h=handle: c.run(self._dispatch_loop, h),
-            name=f"repro-dispatch-{shard}",
-            daemon=True,
-        )
-        handle.dispatcher.start()
         handle.batcher = WindowBatcher(
             lambda batch, h=handle: self._send_window(h, batch),
             max_batch=self.config.max_batch,
@@ -268,27 +266,36 @@ class ClusterManager:
         # until the line above, and a request routed in that window would
         # be shed 503 by a shard that is in fact coming up.
         handle.alive = True
+        # The dispatcher pumps replies while its generation is alive, so
+        # it starts after the flip.  One context copy per thread: a
+        # Context object cannot be entered by two threads at once.
+        dispatch_context = contextvars.copy_context()
+        handle.dispatcher = threading.Thread(
+            target=lambda c=dispatch_context, h=handle: c.run(self._dispatch_loop, h),
+            name=f"repro-dispatch-{shard}",
+            daemon=True,
+        )
+        handle.dispatcher.start()
 
     def start(self) -> "ClusterManager":
         require(not self._started, "cluster already started")
         self._started = True
         for handle in self._handles.values():
             self._spawn_shard(handle, with_chaos=True)
-        rebalance_context = contextvars.copy_context()
-        self._rebalancer = threading.Thread(
-            target=lambda: rebalance_context.run(self._rebalance_loop),
-            name="repro-rebalancer",
-            daemon=True,
-        )
-        self._rebalancer.start()
-        if self.config.supervise:
-            self._supervisor = ShardSupervisor(
-                self,
-                heartbeat_seconds=self.config.heartbeat_seconds,
-                max_restarts=self.config.max_restarts,
-            )
-            self._supervisor.start()
+        self._start_control()
         return self
+
+    def _start_control(self) -> None:
+        context = contextvars.copy_context()
+        self._control = threading.Thread(
+            target=lambda: context.run(self._control_loop), name="repro-control", daemon=True
+        )
+        self._control.start()
+
+    def _stop_control(self) -> None:
+        self._stopping.set()
+        if self._control is not None:
+            self._control.join(timeout=2.0)
 
     @staticmethod
     def _close_queue(q: Any) -> None:
@@ -304,9 +311,7 @@ class ClusterManager:
     def stop(self, *, timeout: float = 5.0) -> None:
         if not self._started or self._stopping.is_set():
             return
-        self._stopping.set()
-        if self._supervisor is not None:
-            self._supervisor.stop()
+        self._stop_control()
         for handle in self._handles.values():
             if handle.batcher is not None:
                 handle.batcher.close(drain=False)
@@ -643,7 +648,7 @@ class ClusterManager:
         """
         with handle.lock:
             if not handle.alive:
-                return  # dispatcher and supervisor raced; first caller wins
+                return  # already declared dead
             handle.alive = False
             orphans = list(handle.inflight.values())
             handle.inflight.clear()
@@ -678,7 +683,10 @@ class ClusterManager:
     # -- retry / resubmission ---------------------------------------------------
 
     def _retry_or_fail(self, item: Dict[str, Any], pending: PendingResult, reason: str) -> None:
-        """Requeue an orphaned request with bounded backoff, or 503 it."""
+        """Requeue an orphaned request with bounded backoff, or 503 it.
+
+        The retry is an entry the control loop fires once its backoff is due.
+        """
         if pending.done:
             return
         attempts = int(item.get("_attempts", 0))
@@ -692,12 +700,12 @@ class ClusterManager:
             * (0.5 + self._retry_rng.random())
         )
         self.telemetry.counter("frontend_retries_total").inc()
-        timer = threading.Timer(delay, self._resubmit, args=(item, pending, reason))
-        timer.daemon = True
-        timer.start()
+        entry = (time.monotonic() + delay, next(self._retry_seq), item, pending, reason)
+        with self._retry_lock:
+            heapq.heappush(self._retries, entry)
 
     def _resubmit(self, item: Dict[str, Any], pending: PendingResult, reason: str) -> None:
-        """Timer body: re-route a retried request to a currently-healthy shard."""
+        """A due retry: re-route the request to a currently-healthy shard."""
         if pending.done or self._stopping.is_set():
             return
         tid = item.get("trace_id")
@@ -716,14 +724,13 @@ class ClusterManager:
             self._retry_or_fail(item, pending, reason)
 
     def _dispatch_loop(self, handle: _ShardHandle) -> None:
-        """Per-shard reply pump: settle windows, watch for worker death."""
-        while not self._stopping.is_set():
+        """One worker generation's reply pump: settle what it answers until
+        the generation is declared dead or the cluster stops."""
+        replies = handle.replies
+        while handle.alive and not self._stopping.is_set():
             try:
-                reply = handle.replies.get(timeout=0.2)
+                reply = replies.get(timeout=0.2)
             except queue.Empty:
-                if handle.alive and handle.process is not None and not handle.process.is_alive():
-                    self._shard_died(handle)
-                    return
                 continue
             except (OSError, ValueError):  # pragma: no cover — queue torn down
                 return
@@ -738,7 +745,58 @@ class ClusterManager:
             else:
                 entry[1].resolve(reply)
 
-    # -- supervision hooks -------------------------------------------------------
+    # -- the control loop ---------------------------------------------------------
+
+    def _control_loop(self) -> None:
+        """The cluster's one control thread; it never makes scheduling decisions.
+
+        It sleeps until the next heartbeat, due retry or rebalance and
+        does what fell due.  Retries are pushed from this thread (the
+        death path and failed resubmits), so the sleep needs no wake-up.
+        """
+        now = time.monotonic()
+        next_beat = now + self.config.heartbeat_seconds
+        next_rebalance = now + self.config.rebalance_seconds
+        while True:
+            with self._retry_lock:
+                wake_at = min(next_beat, next_rebalance, self._retries[0][0] if self._retries else math.inf)
+            if self._stopping.wait(max(wake_at - time.monotonic(), 0.0)):
+                return
+            now = time.monotonic()
+            due = []
+            with self._retry_lock:
+                while self._retries and self._retries[0][0] <= now:
+                    due.append(heapq.heappop(self._retries))
+            if now >= next_beat:
+                self._heartbeat()
+                next_beat = now + self.config.heartbeat_seconds
+            for _, _, item, pending, reason in due:
+                self._resubmit(item, pending, reason)
+            if now >= next_rebalance:
+                next_rebalance = now + self._rebalance()
+
+    def _heartbeat(self) -> None:
+        """Declare dead workers, restart them (bounded) when supervised, and
+        sweep stale windows.
+
+        A restart waits for the heartbeat after the death, so the dead
+        shard's first retries land on the survivors, not on a worker
+        still recovering its journal.
+        """
+        for handle in self._handles.values():
+            if self._stopping.is_set():
+                return
+            process = handle.process
+            if process is None:
+                continue
+            if not handle.alive:
+                if self.config.supervise and handle.restarts < self.config.max_restarts:
+                    self._restart_shard(handle)
+            # A reply still queued from the dead worker settles first: the
+            # dispatcher drains it, and the next heartbeat declares death.
+            elif not process.is_alive() and handle.replies.empty():
+                self._shard_died(handle)
+        self._sweep_stale()
 
     def _restart_shard(self, handle: _ShardHandle) -> None:
         """Bring up a replacement worker generation for a dead shard.
@@ -790,25 +848,22 @@ class ClusterManager:
                     )
                 self.telemetry.counter("frontend_swept_windows_total", shard=handle.shard).inc()
 
-    # -- rebalancing -----------------------------------------------------------
-
-    def _rebalance_loop(self) -> None:
+    def _rebalance(self) -> float:
+        """One rebalance cycle: move lease headroom, publish the admit
+        rates; returns the seconds until the next cycle."""
         with collector(self.telemetry):
             period = self.config.rebalance_seconds
-            while not self._stopping.wait(period):
-                period = self.config.rebalance_seconds
-                if self.injector is not None:
-                    event = self.injector.fire(REBALANCE_SITE)
-                    if event is not None:
-                        # Clock skew: the next cadence tick drifts.
-                        period = max(period + event.magnitude, 0.05)
-                if self.ledger.budget is not None:
-                    self.ledger.rebalance()
-                for shard, state in self._overload.items():
-                    if state.controller is not None:
-                        self.telemetry.gauge("frontend_admit_rate", shard=shard).set(
-                            state.controller.rate
-                        )
+            if self.injector is not None:
+                event = self.injector.fire(REBALANCE_SITE)
+                if event is not None:
+                    # Clock skew: the next cadence tick drifts.
+                    period = max(period + event.magnitude, 0.05)
+            if self.ledger.budget is not None:
+                self.ledger.rebalance()
+            for shard, state in self._overload.items():
+                if state.controller is not None:
+                    self.telemetry.gauge("frontend_admit_rate", shard=shard).set(state.controller.rate)
+            return period
 
     # -- observation -----------------------------------------------------------
 
@@ -837,7 +892,7 @@ class ClusterManager:
             "status": "ok" if len(healthy) == len(self._handles) else ("degraded" if healthy else "down"),
             "shards": {s: ("up" if h.alive else "down") for s, h in self._handles.items()},
             "restarts": {s: h.restarts for s, h in self._handles.items()},
-            "supervised": self._supervisor is not None,
+            "supervised": self.config.supervise,
             "ledger": self.ledger.to_dict(),
             "overload": self.overload_snapshot(),
         }

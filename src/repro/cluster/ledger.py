@@ -65,7 +65,7 @@ class ShardLease:
     lease: float  #: the shard's cap (J); spent + reserved never exceed it
     spent: float = 0.0  #: committed spend (J), monotone
     reserved: float = 0.0  #: granted but not yet committed (J)
-    spent_since_rebalance: float = 0.0  #: demand signal for the rebalancer
+    spent_since_rebalance: float = 0.0  #: demand signal for the rebalance
     denied: int = 0  #: reservations clipped to zero by an exhausted lease
     epoch: int = 0  #: fencing token; bumped on every shard restart
 

@@ -84,7 +84,8 @@ class DurableWindow:
     energy: float
     cum_energy: float  #: cumulative spend *after* this window (the ledger)
     replayed: bool = False  #: restored from the journal rather than solved
-    #: the ``window_done`` payload (canonical JSON) that committed the window
+    #: the ``window_done`` payload (canonical JSON) that committed the window;
+    #: empty when the run journals nothing
     record: bytes = field(default=b"", repr=False, compare=False)
 
     @property
@@ -161,9 +162,6 @@ class _NullJournal(contextlib.nullcontext):
 
     def append(self, event) -> None:
         pass
-
-    def group(self):
-        return contextlib.nullcontext()
 
 
 class DurableRun:
@@ -273,7 +271,8 @@ class DurableRun:
             windows: List[DurableWindow] = []
             cum_energy = 0.0
             next_window = 0
-            meta = self._run_meta(len(ordered), len(batches))
+            # A run that writes nothing needs no metadata to write.
+            meta = self._run_meta(len(ordered), len(batches)) if journaled else None
 
             if journal.record_count > 0:
                 recovered = certify(recover(self.journal_dir), budget=self.energy_budget)
@@ -339,23 +338,25 @@ class DurableRun:
         # A window with no grant left is shed whole, but still committed
         # so the ledger stays contiguous across restarts.
         solve = grant > 0.0
+        journaled = self.journal_dir is not None
         # One commit for the pre-solve records: recovery acts on neither
         # of them, so they only need to be durable before the solve starts.
-        with journal.group():
-            journal.append(
-                {
-                    "type": "arrivals",
-                    "window": index,
-                    "ids": [ids[id(request)] for request in batch],
-                    "t": [request.arrival_time for request in batch],
-                    "slo": [request.slo_seconds for request in batch],
-                    "theta": [request.theta_per_tflop for request in batch],
-                }
-            )
-            if solve:
+        if journaled:
+            with journal.group():
                 journal.append(
-                    {"type": "window_plan", "window": index, "start": start, "ids": ordered_ids, "grant": grant}
+                    {
+                        "type": "arrivals",
+                        "window": index,
+                        "ids": [ids[id(request)] for request in batch],
+                        "t": [request.arrival_time for request in batch],
+                        "slo": [request.slo_seconds for request in batch],
+                        "theta": [request.theta_per_tflop for request in batch],
+                    }
                 )
+                if solve:
+                    journal.append(
+                        {"type": "window_plan", "window": index, "start": start, "ids": ordered_ids, "grant": grant}
+                    )
 
         flops, accuracies = np.zeros(len(batch)), np.zeros(len(batch))
         on_time, energy = 0, 0.0
@@ -382,6 +383,8 @@ class DurableRun:
             "energy": energy,
             "cum_energy": cum_energy + energy,
         }
-        record = encode_payload(done)
-        journal.append(record)
+        record = b""
+        if journaled:
+            record = encode_payload(done)
+            journal.append(record)
         return done, self._window(done, replayed=False, record=record)

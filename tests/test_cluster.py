@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import pty
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import REBALANCE_SITE, WORKER_SITE, ChaosEvent, ChaosSchedule, FaultInjector
 from repro.cluster import (
     ClusterConfig,
     ClusterManager,
@@ -312,6 +314,7 @@ def test_batcher_close_hands_queued_items_to_on_undispatched():
 def test_shard_death_retries_requests_queued_behind_its_window():
     # A request queued on a shard when its worker dies is re-routed like
     # the dead window's orphans: it must not fail with "batcher closed".
+    # No workers are spawned; only the control loop runs, to fire the retry.
     manager = ClusterManager(ClusterConfig(shards=2, supervise=True))
     handle = manager._handles["shard-00"]
     survivor = manager._handles["shard-01"]
@@ -319,6 +322,7 @@ def test_shard_death_retries_requests_queued_behind_its_window():
     survivor_batcher, survivor_windows = _recording_batcher(settle=True)
     handle.batcher, handle.alive = batcher, True
     survivor.batcher, survivor.alive = survivor_batcher, True
+    manager._start_control()
     try:
         batcher.submit({"trace_id": "t-in-flight"})
         windows.get(timeout=5.0)
@@ -329,6 +333,7 @@ def test_shard_death_retries_requests_queued_behind_its_window():
         assert pending.wait(5.0) is item  # solved by the surviving shard
         assert item["_attempts"] == 1
     finally:
+        manager._stop_control()
         survivor_batcher.close(drain=False)
 
 
@@ -844,6 +849,98 @@ def test_cluster_survives_worker_death():
         assert manager.health()["status"] == "degraded"
     finally:
         manager.stop()
+
+
+# -- the control loop: deaths, retries, sweeps, rebalances ------------------------
+
+
+def _trace_ids_routed_to(manager, shard, count):
+    tids = (f"t-{i:04d}" for i in itertools.count())
+    return list(itertools.islice((t for t in tids if manager.router.route(t) == shard), count))
+
+
+def test_retry_after_shard_death_starts_no_thread_per_request(monkeypatch):
+    # 16 requests orphaned by one death (1 in flight, 15 queued behind it)
+    # retry on the survivor as entries of the control loop: no OS timer
+    # thread each.  max_restarts=0 keeps the victim down.
+    timers = []
+
+    class CountingTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            timers.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Timer", CountingTimer)
+    doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
+    config = ClusterConfig(
+        shards=2,
+        max_batch=16,
+        max_wait_seconds=30.0,
+        heartbeat_seconds=0.05,
+        max_restarts=0,
+        retry_backoff_seconds=0.02,
+    )
+    manager = ClusterManager(config).start()
+    try:
+        handle = manager._handles["shard-00"]
+        first, *queued = _trace_ids_routed_to(manager, "shard-00", 16)
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            os.kill(handle.process.pid, signal.SIGSTOP)
+            try:
+                futures = [pool.submit(manager.submit, "approx", doc, trace_id=first)]
+                _wait_for(lambda: bool(handle.inflight))
+                futures += [pool.submit(manager.submit, "approx", doc, trace_id=t) for t in queued]
+                _wait_for(lambda: handle.batcher.depth == len(queued))
+            finally:
+                os.kill(handle.process.pid, signal.SIGKILL)
+            results = [f.result(timeout=60) for f in futures]
+        assert [(r["status"], r["shard"]) for r in results] == [(200, "shard-01")] * 16, results
+        assert manager.telemetry.counter("frontend_retries_total").value == 16
+        assert len(timers) == 0
+    finally:
+        manager.stop()
+
+
+def test_sweep_commits_the_grant_of_a_window_whose_reply_was_dropped():
+    # The worker solves the first window but drops its reply: the control
+    # loop's stale-window sweep answers it 503 and commits the grant in
+    # full (the spend may be journalled), so no reservation leaks.
+    doc = instance_to_dict(make_instance(n=4, m=2, seed=11))
+    drop = ChaosEvent(seq=0, kind="reply_drop", site=WORKER_SITE, shard="shard-00", at_op=1)
+    config = ClusterConfig(
+        shards=1, budget=1e9, supervise=False, request_timeout_seconds=1.0, heartbeat_seconds=0.05
+    )
+    manager = ClusterManager(config, injector=FaultInjector(ChaosSchedule.from_events([drop])))
+    before = set(threading.enumerate())
+    manager.start()
+    try:
+        started = {t.name for t in set(threading.enumerate()) - before}
+        assert started == {"repro-control", "repro-dispatch-shard-00", "repro-window_shard_00"}
+        result = manager.submit("approx", doc, timeout=30.0)
+        assert result["status"] == 503 and "never answered" in result["error"], result
+        assert manager.telemetry.counter("frontend_swept_windows_total", shard="shard-00").value == 1
+        row = manager.ledger.to_dict()["shards"]["shard-00"]
+        assert row["spent"] == float(doc["budget"]) and row["reserved"] == 0.0, row
+        assert manager.ledger.audit() == []
+    finally:
+        manager.stop()
+
+
+def test_clock_skew_fires_on_the_second_rebalance_cycle_not_heartbeat():
+    # Chaos timelines replay only if clock_skew counts rebalance cycles:
+    # the heartbeat runs ten times as often in the same loop.
+    skew = ChaosEvent(seq=0, kind="clock_skew", site=REBALANCE_SITE, shard=None, at_op=2, magnitude=0.05)
+    injector = FaultInjector(ChaosSchedule.from_events([skew]))
+    config = ClusterConfig(shards=1, budget=1e9, heartbeat_seconds=0.02, rebalance_seconds=0.2)
+    manager = ClusterManager(config, injector=injector)
+    beats, cycles = [], []
+    heartbeat, rebalance = manager._heartbeat, manager.ledger.rebalance
+    manager._heartbeat = lambda: (beats.append(1), heartbeat())
+    manager.ledger.rebalance = lambda: (cycles.append((len(beats), len(injector.fired))), rebalance())[1]
+    with manager:
+        _wait_for(lambda: len(cycles) >= 2)
+    assert cycles[0][0] >= 2 and [fired for _, fired in cycles[:2]] == [0, 1], cycles
+    assert injector.fired == [skew]
 
 
 # -- load generator -------------------------------------------------------------
